@@ -27,14 +27,21 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
+	"log/slog"
+	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"os/exec"
 	"runtime"
 	"runtime/pprof"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -47,6 +54,7 @@ import (
 	"convexcache/internal/runspec"
 	"convexcache/internal/sim"
 	"convexcache/internal/trace"
+	"convexcache/internal/workload"
 )
 
 // Result is one benchmark's measurements.
@@ -414,6 +422,8 @@ func shardedSuite() []Result {
 // report carries the live fast-path speedup next to the replay numbers it
 // chases. Each iteration builds a fresh service, so interning and routing
 // overhead is measured, not amortized away; both modes pay it identically.
+// The last row, handlerBench, puts the HTTP front end above Apply under the
+// same gate.
 func liveSuite() []Result {
 	tr := benchTrace(4, 4096, 200_000)
 	costs := benchCosts(4)
@@ -467,8 +477,97 @@ func liveSuite() []Result {
 		out = append(out, res)
 		fmt.Fprintf(os.Stderr, "bench: %-28s %12.0f req/s %8d allocs/op\n", m.name, res.ReqPerSec, res.AllocsPerOp)
 	}
-	return out
+	return append(out, handlerBench())
 }
+
+// handlerBench measures the front end in-process: Service.Handler's
+// ServeHTTP on 1024-request wire bodies in the end-to-end benchmark's
+// hot-read shape (4 tenants, each Zipf(0.9) over 4096 keys, all GET; 2
+// shards, k = 32768), warmed so every request hits. One op is one body; the
+// request and the response writer are reused, so allocs/op is the
+// handler's own. It mirrors BenchmarkHandler in internal/cached.
+func handlerBench() Result {
+	const name = "live/handler/n=2/k=32768"
+	const tenants, batch = 4, 1024
+	keys := make([]workload.Stream, tenants)
+	for t := range keys {
+		s, _, err := workload.ParseStream("zipf:4096,0.9", int64(t+1))
+		if err != nil {
+			fatal(err)
+		}
+		keys[t] = s
+	}
+	pick := rand.New(rand.NewSource(7))
+	bodies := make([][]byte, 64)
+	for i := range bodies {
+		var buf []byte
+		for j := 0; j < batch; j++ {
+			t := pick.Intn(tenants)
+			buf = append(buf, "GET "...)
+			buf = strconv.AppendInt(buf, int64(t), 10)
+			buf = append(buf, " k"...)
+			buf = strconv.AppendInt(buf, keys[t].Next(), 10)
+			buf = append(buf, '\n')
+		}
+		bodies[i] = buf
+	}
+	costs := []costfn.Func{costfn.Monomial{C: 1, Beta: 2}, costfn.Linear{W: 3}, costfn.Monomial{C: 1, Beta: 2}, costfn.Linear{W: 3}}
+	svc, err := cached.New(cached.Config{
+		K: 32768, Shards: 2, Tenants: tenants,
+		NewPolicy: func() sim.Policy { return core.NewFast(core.Options{Costs: costs}) },
+	})
+	if err != nil {
+		fatal(err)
+	}
+	defer svc.Close()
+	h := svc.Handler(cached.HTTPConfig{Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
+	body := &reusedBody{}
+	req := httptest.NewRequest(http.MethodPost, "/v1/cache", nil)
+	req.Body = body
+	w := &statusOnly{h: http.Header{}}
+	serve := func(i int) error {
+		p := bodies[i%len(bodies)]
+		body.Reset(p)
+		req.ContentLength = int64(len(p))
+		h.ServeHTTP(w, req)
+		if w.status != http.StatusOK {
+			return fmt.Errorf("%s: status %d", name, w.status)
+		}
+		return nil
+	}
+	for i := range bodies {
+		if err := serve(i); err != nil {
+			fatal(err)
+		}
+	}
+	r := measure(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := serve(i); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	res := toResult(name, r)
+	res.ReqPerSec = float64(batch*r.N) / r.T.Seconds()
+	fmt.Fprintf(os.Stderr, "bench: %-28s %12.0f req/s %8d allocs/op\n", name, res.ReqPerSec, res.AllocsPerOp)
+	return res
+}
+
+// reusedBody is a request body the handler benchmark resets per op.
+type reusedBody struct{ bytes.Reader }
+
+func (*reusedBody) Close() error { return nil }
+
+// statusOnly is a ResponseWriter that keeps only the status.
+type statusOnly struct {
+	h      http.Header
+	status int
+}
+
+func (w *statusOnly) Header() http.Header         { return w.h }
+func (w *statusOnly) WriteHeader(code int)        { w.status = code }
+func (w *statusOnly) Write(p []byte) (int, error) { return len(p), nil }
 
 // experimentSuite benchmarks each experiment table end to end in quick mode,
 // the same measurements as the BenchmarkExp* functions in bench_test.go.

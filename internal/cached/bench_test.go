@@ -1,14 +1,19 @@
 package cached
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"strconv"
 	"testing"
 
 	"convexcache/internal/core"
 	"convexcache/internal/costfn"
 	"convexcache/internal/sim"
 	"convexcache/internal/trace"
+	"convexcache/internal/workload"
 )
 
 // benchRequests builds a zipf-ish multi-tenant request stream in wire shape.
@@ -73,3 +78,111 @@ func BenchmarkApplyDense(b *testing.B) { benchApply(b, false) }
 
 // BenchmarkApplyMapStep is the retained map-mode reference step.
 func BenchmarkApplyMapStep(b *testing.B) { benchApply(b, true) }
+
+// hotReadBodies builds n wire bodies of batch GETs in the end-to-end
+// benchmark's hot-read shape: 4 tenants, each Zipf(0.9) over 4096 keys
+// named "k<offset>".
+func hotReadBodies(b *testing.B, n, batch int) [][]byte {
+	b.Helper()
+	const tenants = 4
+	keys := make([]workload.Stream, tenants)
+	for t := range keys {
+		s, _, err := workload.ParseStream("zipf:4096,0.9", int64(t+1))
+		if err != nil {
+			b.Fatal(err)
+		}
+		keys[t] = s
+	}
+	pick := rand.New(rand.NewSource(7))
+	bodies := make([][]byte, n)
+	for i := range bodies {
+		var buf []byte
+		for j := 0; j < batch; j++ {
+			t := pick.Intn(tenants)
+			buf = append(buf, "GET "...)
+			buf = strconv.AppendInt(buf, int64(t), 10)
+			buf = append(buf, " k"...)
+			buf = strconv.AppendInt(buf, keys[t].Next(), 10)
+			buf = append(buf, '\n')
+		}
+		bodies[i] = buf
+	}
+	return bodies
+}
+
+// benchBody is a reusable request body, so the benchmark loop builds no
+// request per iteration.
+type benchBody struct{ bytes.Reader }
+
+func (*benchBody) Close() error { return nil }
+
+// benchWriter is a ResponseWriter that keeps only the status.
+type benchWriter struct {
+	h      http.Header
+	status int
+}
+
+func (w *benchWriter) Header() http.Header         { return w.h }
+func (w *benchWriter) WriteHeader(code int)        { w.status = code }
+func (w *benchWriter) Write(p []byte) (int, error) { return len(p), nil }
+
+// BenchmarkHandler is the in-process front end on hot-read-shaped traffic:
+// Service.Handler(...).ServeHTTP on 1024-request wire bodies over 2 shards
+// with k = 32768, warmed so every request hits. It mirrors cmd/bench's
+// live/handler/n=2/k=32768 row; one op is one body.
+func BenchmarkHandler(b *testing.B) {
+	const batch = 1024
+	bodies := hotReadBodies(b, 64, batch)
+	costs := []costfn.Func{
+		costfn.Monomial{C: 1, Beta: 2}, costfn.Linear{W: 3},
+		costfn.Monomial{C: 1, Beta: 2}, costfn.Linear{W: 3},
+	}
+	svc, err := New(Config{
+		K: 32768, Shards: 2, Tenants: 4,
+		NewPolicy: func() sim.Policy { return core.NewFast(core.Options{Costs: costs}) },
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer svc.Close()
+	h := svc.Handler(quietHTTP())
+	body := &benchBody{}
+	req := httptest.NewRequest(http.MethodPost, "/v1/cache", nil)
+	req.Body = body
+	w := &benchWriter{h: http.Header{}}
+	serve := func(i int) {
+		p := bodies[i%len(bodies)]
+		body.Reset(p)
+		req.ContentLength = int64(len(p))
+		h.ServeHTTP(w, req)
+		if w.status != http.StatusOK {
+			b.Fatalf("status %d", w.status)
+		}
+	}
+	for i := range bodies {
+		serve(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		serve(i)
+	}
+	b.ReportMetric(float64(b.N*batch)/b.Elapsed().Seconds(), "req/s")
+}
+
+// BenchmarkAppendBatch is the wire parse alone on the same hot-read bodies,
+// into one reused request slice; one op is one body.
+func BenchmarkAppendBatch(b *testing.B) {
+	const batch = 1024
+	bodies := hotReadBodies(b, 64, batch)
+	var reqs []Request
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var err error
+		if reqs, err = AppendBatch(reqs[:0], bodies[i%len(bodies)], 4); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.N*batch)/b.Elapsed().Seconds(), "req/s")
+}

@@ -106,6 +106,91 @@ func FuzzCachedBatch(f *testing.F) {
 	})
 }
 
+// FuzzCachedParseOracle is the differential oracle of the single-scan
+// parser: on any body (and on the body taken as one line), AppendBatch and
+// ParseRequest must give the same accept/reject, the same Request fields and
+// the same error string as the two-step reference parser in
+// wire_ref_test.go. AppendBatch must also leave a non-empty dst's prefix
+// intact: appended to on success, returned unchanged on error.
+func FuzzCachedParseOracle(f *testing.F) {
+	long := string(bytes.Repeat([]byte("k"), MaxKeyLen))
+	seeds := []string{
+		"GET 0 a\nPUT 1 b\n",
+		"GET 0 a\r\nPUT 1 b\r\n",
+		"GET 0 a\r\r\n",
+		"\n\n\r\nGET 0 a\n\n",
+		"GET 123456789 nine-digit-tenant",
+		"GET 1234567890 ten-digit-tenant",
+		"GET 0123456789 ten-with-leading-zero",
+		"GET 12345678x nine-with-letter",
+		"GET 0x k",
+		"PUT 0 " + long,
+		"PUT 0 " + long + "k",
+		"PUT 0 " + long[1:],
+		"PUT 0 " + long + "\x7f",
+		"PUT 0 " + long[1:] + "\x7f",
+		"PUT 0 key with space\n",
+		"GET 0 a b",
+		"GET 0 a\x7f",
+		"GET 0 \x20",
+		"GET 0 ~!\x21",
+		"GET 0 abcdefgh\x7fijklmnop\n",
+		"GET 0 abcdefghijklmno\x00\n",
+		"GET 0 abcdefg\xff\n",
+		"GET 0 abcdefghijklmnop\r\nGET 0 x",
+		"GET 3 x\nGET 0",
+		"GET ",
+		"GET",
+		"GETX 0 k",
+		"get 0 k",
+		"GE T 0 k",
+		"GET  0 k",
+		"GET 0 ",
+		"GET -1 k",
+	}
+	for _, s := range seeds {
+		f.Add([]byte(s), 4)
+		f.Add([]byte(s), 0)
+	}
+	same := func(a, b Request) bool {
+		return a.Op == b.Op && a.Tenant == b.Tenant && bytes.Equal(a.Key, b.Key)
+	}
+	f.Fuzz(func(t *testing.T, body []byte, tenants int) {
+		r, err := ParseRequest(body, tenants)
+		rr, rerr := refParseRequest(body, tenants)
+		if (err == nil) != (rerr == nil) || (err != nil && err.Error() != rerr.Error()) {
+			t.Fatalf("ParseRequest(%q, %d) error %v, reference %v", body, tenants, err, rerr)
+		}
+		if err == nil && !same(r, rr) {
+			t.Fatalf("ParseRequest(%q, %d) = %+v, reference %+v", body, tenants, r, rr)
+		}
+
+		prefix := []Request{{Op: OpPut, Tenant: 1, Key: []byte("prefix")}}
+		reqs, err := AppendBatch(prefix, body, tenants)
+		ref, rerr := refParseBatch(body, tenants)
+		if (err == nil) != (rerr == nil) || (err != nil && err.Error() != rerr.Error()) {
+			t.Fatalf("AppendBatch(%q, %d) error %v, reference %v", body, tenants, err, rerr)
+		}
+		if len(reqs) == 0 || !same(reqs[0], prefix[0]) {
+			t.Fatalf("AppendBatch(%q, %d) lost the dst prefix: %+v", body, tenants, reqs)
+		}
+		if err != nil {
+			if len(reqs) != len(prefix) {
+				t.Fatalf("AppendBatch(%q, %d) failed but returned %d requests", body, tenants, len(reqs))
+			}
+			return
+		}
+		if len(reqs)-len(prefix) != len(ref) {
+			t.Fatalf("AppendBatch(%q, %d) parsed %d requests, reference %d", body, tenants, len(reqs)-len(prefix), len(ref))
+		}
+		for i := range ref {
+			if !same(reqs[len(prefix)+i], ref[i]) {
+				t.Fatalf("AppendBatch(%q, %d) request %d = %+v, reference %+v", body, tenants, i, reqs[len(prefix)+i], ref[i])
+			}
+		}
+	})
+}
+
 // walSeedSegment builds a structurally valid single-shard partition-mode
 // segment for the recovery fuzzer's corpus.
 func walSeedSegment() []byte {

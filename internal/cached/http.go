@@ -8,8 +8,11 @@ import (
 	"log/slog"
 	"net"
 	"net/http"
+	"slices"
 	"strconv"
+	"sync"
 	"time"
+	"unsafe"
 
 	"convexcache/internal/obs"
 	"convexcache/internal/resilience"
@@ -110,12 +113,18 @@ type CacheResponse struct {
 }
 
 func (st *handlerState) handleCache(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, st.maxBody))
+	sc := ingressPool.Get().(*ingress)
+	// Request keys alias sc.body until Apply returns; shards copy every key
+	// they retain, so the deferred release cannot pull a key from under a
+	// shard.
+	defer sc.release()
+	body, err := sc.readBody(w, r, st.maxBody)
 	if err != nil {
 		st.writeError(w, r, http.StatusBadRequest, "bad_request", 0, fmt.Errorf("read request: %w", err))
 		return
 	}
-	reqs, err := ParseBatch(body, st.svc.cfg.Tenants)
+	reqs, err := AppendBatch(sc.reqs[:0], body, st.svc.cfg.Tenants)
+	sc.reqs = reqs
 	if err != nil {
 		st.writeError(w, r, http.StatusBadRequest, "bad_request", 0, err)
 		return
@@ -141,18 +150,115 @@ func (st *handlerState) handleCache(w http.ResponseWriter, r *http.Request) {
 		st.writeError(w, r, status, reason, retryAfter, err)
 		return
 	}
-	resp := CacheResponse{Requests: len(reqs), Results: string(results)}
+	sc.out = appendCacheResponse(sc.out[:0], results)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	if _, err := w.Write(sc.out); err != nil {
+		st.encodeFailed(r, http.StatusOK, err)
+	}
+}
+
+// appendCacheResponse appends the CacheResponse for Apply's results to dst,
+// byte for byte what json.Encoder writes for it (trailing newline included,
+// "shed" omitted when zero). Result bytes are ASCII letters, which JSON
+// strings carry unescaped.
+func appendCacheResponse(dst, results []byte) []byte {
+	hits, shed := 0, 0
 	for _, c := range results {
 		switch c {
 		case ResultHit:
-			resp.Hits++
+			hits++
 		case ResultShed:
-			resp.Shed++
-		default:
-			resp.Misses++
+			shed++
 		}
 	}
-	st.writeJSON(w, r, http.StatusOK, resp)
+	dst = append(dst, `{"requests":`...)
+	dst = strconv.AppendInt(dst, int64(len(results)), 10)
+	dst = append(dst, `,"hits":`...)
+	dst = strconv.AppendInt(dst, int64(hits), 10)
+	dst = append(dst, `,"misses":`...)
+	dst = strconv.AppendInt(dst, int64(len(results)-hits-shed), 10)
+	if shed != 0 {
+		dst = append(dst, `,"shed":`...)
+		dst = strconv.AppendInt(dst, int64(shed), 10)
+	}
+	dst = append(dst, `,"results":"`...)
+	dst = append(dst, results...)
+	return append(dst, "\"}\n"...)
+}
+
+// maxPooledBytes bounds each buffer ingressPool keeps: a rare huge batch
+// must not pin its memory for the life of the process.
+const maxPooledBytes = 1 << 20
+
+// ingress is the scratch of one POST /v1/cache: the body, the parsed
+// requests and the reply. Every key in reqs' backing array aliases body, so
+// the two are dropped or replaced together.
+type ingress struct {
+	body []byte
+	reqs []Request
+	out  []byte
+}
+
+var ingressPool = sync.Pool{New: func() any { return new(ingress) }}
+
+// readBody reads the request body into sc.body. A body that declares its
+// length is read in one pass into a buffer of that size, or refused unread
+// when the length is over limit; a body of unknown length streams through
+// http.MaxBytesReader, which stops it at limit.
+func (sc *ingress) readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
+	n := r.ContentLength
+	if n > limit {
+		return nil, &http.MaxBytesError{Limit: limit}
+	}
+	if n >= 0 {
+		if int64(cap(sc.body)) < n {
+			sc.setBody(make([]byte, 0, n))
+		}
+		body := sc.body[:n]
+		if _, err := io.ReadFull(r.Body, body); err != nil {
+			return nil, err
+		}
+		return body, nil
+	}
+	rd := http.MaxBytesReader(w, r.Body, limit)
+	body := sc.body[:0]
+	for {
+		if len(body) == cap(body) {
+			body = slices.Grow(body, 512)
+			sc.setBody(body)
+		}
+		n, err := rd.Read(body[len(body):cap(body)])
+		body = body[:len(body)+n]
+		if err == io.EOF {
+			return body, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+}
+
+// setBody replaces the body buffer; the old requests alias the old buffer,
+// so they are cleared rather than left to pin it.
+func (sc *ingress) setBody(b []byte) {
+	clear(sc.reqs[:cap(sc.reqs)])
+	sc.body = b
+}
+
+// release returns the scratch to the pool, minus any buffer over
+// maxPooledBytes.
+func (sc *ingress) release() {
+	if cap(sc.reqs)*int(unsafe.Sizeof(Request{})) > maxPooledBytes {
+		sc.reqs = nil
+	}
+	if cap(sc.body) > maxPooledBytes {
+		sc.setBody(nil)
+	}
+	if cap(sc.out) > maxPooledBytes {
+		sc.out = nil
+	}
+	ingressPool.Put(sc)
 }
 
 func (st *handlerState) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -273,9 +379,14 @@ func (st *handlerState) writeJSON(w http.ResponseWriter, r *http.Request, status
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	if err := json.NewEncoder(w).Encode(v); err != nil {
-		st.svc.reg.Counter("http_response_encode_errors_total").Inc()
-		obs.LoggerFrom(r.Context(), st.log).Error("encode response", "status", status, "err", err)
+		st.encodeFailed(r, status, err)
 	}
+}
+
+// encodeFailed counts and logs a reply that could not be written.
+func (st *handlerState) encodeFailed(r *http.Request, status int, err error) {
+	st.svc.reg.Counter("http_response_encode_errors_total").Inc()
+	obs.LoggerFrom(r.Context(), st.log).Error("encode response", "status", status, "err", err)
 }
 
 func (st *handlerState) writeError(w http.ResponseWriter, r *http.Request, status int, reason string, retryAfter time.Duration, err error) {
