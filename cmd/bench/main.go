@@ -422,8 +422,8 @@ func shardedSuite() []Result {
 // report carries the live fast-path speedup next to the replay numbers it
 // chases. Each iteration builds a fresh service, so interning and routing
 // overhead is measured, not amortized away; both modes pay it identically.
-// The last row, handlerBench, puts the HTTP front end above Apply under the
-// same gate.
+// The last rows put the HTTP front end above Apply (handlerBench) and
+// Verify (verifyBench) under the same gate.
 func liveSuite() []Result {
 	tr := benchTrace(4, 4096, 200_000)
 	costs := benchCosts(4)
@@ -477,18 +477,14 @@ func liveSuite() []Result {
 		out = append(out, res)
 		fmt.Fprintf(os.Stderr, "bench: %-28s %12.0f req/s %8d allocs/op\n", m.name, res.ReqPerSec, res.AllocsPerOp)
 	}
-	return append(out, handlerBench())
+	return append(out, handlerBench(), verifyBench())
 }
 
-// handlerBench measures the front end in-process: Service.Handler's
-// ServeHTTP on 1024-request wire bodies in the end-to-end benchmark's
-// hot-read shape (4 tenants, each Zipf(0.9) over 4096 keys, all GET; 2
-// shards, k = 32768), warmed so every request hits. One op is one body; the
-// request and the response writer are reused, so allocs/op is the
-// handler's own. It mirrors BenchmarkHandler in internal/cached.
-func handlerBench() Result {
-	const name = "live/handler/n=2/k=32768"
-	const tenants, batch = 4, 1024
+// hotReadBodies builds 64 wire bodies of batch GETs in the end-to-end
+// benchmark's hot-read shape: 4 tenants, each Zipf(0.9) over 4096 keys
+// named "k<offset>".
+func hotReadBodies(batch int) [][]byte {
+	const tenants = 4
 	keys := make([]workload.Stream, tenants)
 	for t := range keys {
 		s, _, err := workload.ParseStream("zipf:4096,0.9", int64(t+1))
@@ -511,14 +507,35 @@ func handlerBench() Result {
 		}
 		bodies[i] = buf
 	}
+	return bodies
+}
+
+// hotReadService is the hot-read server shape: 4 tenants on the paper's
+// algorithm with alternating monomial:1,2 / linear:3 costs, 2 shards,
+// k = 32768.
+func hotReadService() *cached.Service {
 	costs := []costfn.Func{costfn.Monomial{C: 1, Beta: 2}, costfn.Linear{W: 3}, costfn.Monomial{C: 1, Beta: 2}, costfn.Linear{W: 3}}
 	svc, err := cached.New(cached.Config{
-		K: 32768, Shards: 2, Tenants: tenants,
+		K: 32768, Shards: 2, Tenants: len(costs),
 		NewPolicy: func() sim.Policy { return core.NewFast(core.Options{Costs: costs}) },
 	})
 	if err != nil {
 		fatal(err)
 	}
+	return svc
+}
+
+// handlerBench measures the front end in-process: Service.Handler's
+// ServeHTTP on 1024-request wire bodies in the end-to-end benchmark's
+// hot-read shape (see hotReadBodies and hotReadService), warmed so every
+// request hits. One op is one body; the request and the response writer
+// are reused, so allocs/op is the handler's own. It mirrors
+// BenchmarkHandler in internal/cached.
+func handlerBench() Result {
+	const name = "live/handler/n=2/k=32768"
+	const batch = 1024
+	bodies := hotReadBodies(batch)
+	svc := hotReadService()
 	defer svc.Close()
 	h := svc.Handler(cached.HTTPConfig{Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
 	body := &reusedBody{}
@@ -551,6 +568,49 @@ func handlerBench() Result {
 	res := toResult(name, r)
 	res.ReqPerSec = float64(batch*r.N) / r.T.Seconds()
 	fmt.Fprintf(os.Stderr, "bench: %-28s %12.0f req/s %8d allocs/op\n", name, res.ReqPerSec, res.AllocsPerOp)
+	return res
+}
+
+// verifyBench measures Service.Verify on a hot-read-shaped log: the
+// hot-read service fed 16 passes over the hot-read bodies, 2^20 logged
+// requests. ns_per_op is per logged request, so the row reads the same at
+// any log length; bytes_per_op and allocs_per_op are per Verify call. It
+// mirrors BenchmarkVerify in internal/cached.
+func verifyBench() Result {
+	const name = "live/verify/n=2/k=32768"
+	const batch, passes = 1024, 16
+	bodies := hotReadBodies(batch)
+	svc := hotReadService()
+	defer svc.Close()
+	var reqs []cached.Request
+	for p := 0; p < passes; p++ {
+		for _, body := range bodies {
+			var err error
+			if reqs, err = cached.AppendBatch(reqs[:0], body, 4); err != nil {
+				fatal(err)
+			}
+			if _, err := svc.Apply(reqs); err != nil {
+				fatal(err)
+			}
+		}
+	}
+	logged := passes * len(bodies) * batch
+	ctx := context.Background()
+	r := measure(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			rep, err := svc.Verify(ctx)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if !rep.Clean || rep.Requests != logged {
+				b.Fatalf("%s: clean=%v requests=%d, want %d", name, rep.Clean, rep.Requests, logged)
+			}
+		}
+	})
+	res := toResult(name, r)
+	res.NsPerOp /= float64(logged)
+	fmt.Fprintf(os.Stderr, "bench: %-28s %12.1f ns/req %8d B/op\n", name, res.NsPerOp, res.BytesPerOp)
 	return res
 }
 

@@ -2,6 +2,7 @@ package cached
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
 	"net/http"
@@ -185,4 +186,50 @@ func BenchmarkAppendBatch(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.N*batch)/b.Elapsed().Seconds(), "req/s")
+}
+
+// BenchmarkVerify is Verify on a hot-read-shaped log: 2 shards, k = 32768,
+// 4 tenants, 2^20 logged requests built from the hot-read bodies. One op is
+// one Verify call; ns/req is per logged request. It mirrors cmd/bench's
+// live/verify/n=2/k=32768 row.
+func BenchmarkVerify(b *testing.B) {
+	const batch, passes = 1024, 16
+	bodies := hotReadBodies(b, 64, batch)
+	costs := []costfn.Func{
+		costfn.Monomial{C: 1, Beta: 2}, costfn.Linear{W: 3},
+		costfn.Monomial{C: 1, Beta: 2}, costfn.Linear{W: 3},
+	}
+	svc, err := New(Config{
+		K: 32768, Shards: 2, Tenants: 4,
+		NewPolicy: func() sim.Policy { return core.NewFast(core.Options{Costs: costs}) },
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer svc.Close()
+	var reqs []Request
+	for p := 0; p < passes; p++ {
+		for _, body := range bodies {
+			if reqs, err = AppendBatch(reqs[:0], body, 4); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := svc.Apply(reqs); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	logged := passes * len(bodies) * batch
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rep, err := svc.Verify(ctx)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !rep.Clean || rep.Requests != logged {
+			b.Fatalf("verify: clean=%v requests=%d, want %d", rep.Clean, rep.Requests, logged)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*logged), "ns/req")
 }

@@ -402,20 +402,10 @@ func (sh *shard) replaySegments(segs []int, ck *checkpoint, rep *RecoveryReport)
 				return fmt.Errorf("segment %d: duplicate header", idx)
 			}
 			e := rec.entry
-			if e.Seq <= lastSeq {
-				return fmt.Errorf("segment %d: seq %d not increasing (prev %d)", idx, e.Seq, lastSeq)
+			if err := checkEntry(e, lastSeq, sh.id, n, tenants); err != nil {
+				return fmt.Errorf("segment %d: %w", idx, err)
 			}
 			lastSeq = e.Seq
-			if e.Quotas == nil {
-				if int(e.Tenant) >= tenants {
-					return fmt.Errorf("segment %d: entry for out-of-range tenant %d", idx, e.Tenant)
-				}
-				if int(e.Page)%n != sh.id {
-					return fmt.Errorf("segment %d: entry for page %d outside shard %d's residue class", idx, e.Page, sh.id)
-				}
-			} else if len(e.Quotas) != tenants {
-				return fmt.Errorf("segment %d: quota control entry with %d tenants, config has %d", idx, len(e.Quotas), tenants)
-			}
 			at := entries
 			entries++
 			if final {
@@ -491,6 +481,32 @@ func (sh *shard) replaySegments(segs []int, ck *checkpoint, rep *RecoveryReport)
 		rep.LastSeq = sh.lastSeq
 	}
 	sh.publishMetrics()
+	return nil
+}
+
+// checkEntry validates one entry of shard id's log (n shards, tenants
+// configured tenants) given the previous entry's sequence number (0 before
+// the first): sequence numbers strictly increase, a request names a
+// configured tenant and a page from the shard's residue class {id, id+n,
+// ...}, and a quota control entry carries one quota per tenant. Startup
+// recovery and Verify both run every entry through it, so a log either
+// passes the same checks on both paths or fails loudly on both.
+func checkEntry(e LogEntry, prevSeq int64, id, n, tenants int) error {
+	if e.Seq <= prevSeq {
+		return fmt.Errorf("seq %d not increasing (prev %d)", e.Seq, prevSeq)
+	}
+	if e.Quotas != nil {
+		if len(e.Quotas) != tenants {
+			return fmt.Errorf("quota control entry with %d tenants, config has %d", len(e.Quotas), tenants)
+		}
+		return nil
+	}
+	if e.Tenant < 0 || int(e.Tenant) >= tenants {
+		return fmt.Errorf("entry for out-of-range tenant %d", e.Tenant)
+	}
+	if e.Page < 0 || int(e.Page%trace.PageID(n)) != id {
+		return fmt.Errorf("entry for page %d outside shard %d's residue class", e.Page, id)
+	}
 	return nil
 }
 

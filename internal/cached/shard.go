@@ -2,6 +2,7 @@ package cached
 
 import (
 	"fmt"
+	"maps"
 	"path"
 	"sync"
 	"sync/atomic"
@@ -96,26 +97,55 @@ func (l *entryLog) at(i int) LogEntry {
 	return e
 }
 
-// reset empties the log keeping the first chunk's capacity (segment
-// rotation).
+// reset empties the log on segment rotation. It drops the chunks instead of
+// reusing them: a snapshot's logView may still be reading them from another
+// goroutine, and chunks are only ever appended to, never overwritten, for
+// exactly that reason.
 func (l *entryLog) reset() {
-	if len(l.chunks) > 1 {
-		l.chunks = l.chunks[:1]
-	}
-	if len(l.chunks) == 1 {
-		l.chunks[0] = l.chunks[0][:0]
-	}
-	l.n = 0
-	l.quotas = nil
+	*l = entryLog{}
 }
 
-// entries materializes the AoS view for snapshots and wire formats.
-func (l *entryLog) entries() []LogEntry {
-	out := make([]LogEntry, l.len())
-	for i := range out {
-		out[i] = l.at(i)
+// view returns a read-only view of the log as it stands. The view shares
+// the chunks — each capped at its current length, so the writer's later
+// appends land beyond anything the view can index — and copies only the
+// outer chunk table and the rare quota map. Taking it costs O(chunks), not
+// O(entries), which is what lets Verify snapshot a multi-million-entry log
+// on the shard loop without stalling it.
+func (l *entryLog) view() logView {
+	v := logView{chunks: make([][]logRec, len(l.chunks))}
+	for i, c := range l.chunks {
+		v.chunks[i] = c[:len(c):len(c)]
 	}
-	return out
+	if l.quotas != nil {
+		v.quotas = maps.Clone(l.quotas)
+	}
+	return v
+}
+
+// logView is a frozen prefix of a shard's in-memory log (see entryLog.view),
+// safe to read from any goroutine while the shard keeps appending.
+type logView struct {
+	chunks [][]logRec
+	quotas map[int][]int
+}
+
+// each calls fn on every entry in order, stopping at the first error.
+func (v logView) each(fn func(LogEntry) error) error {
+	i := 0
+	for _, c := range v.chunks {
+		for j := range c {
+			r := &c[j]
+			e := LogEntry{Seq: r.seq, Page: r.page, Tenant: trace.Tenant(r.tenant)}
+			if v.quotas != nil {
+				e.Quotas = v.quotas[i]
+			}
+			if err := fn(e); err != nil {
+				return err
+			}
+			i++
+		}
+	}
+	return nil
 }
 
 // shardMsg is a mailbox message: a batch to apply (reqs/idxs/results/done
@@ -168,9 +198,9 @@ type ShardSnapshot struct {
 	Hits      []int64
 	Misses    []int64
 	Evictions []int64
-	// Log is the shard's in-memory log tail (the active segment); nil unless
-	// requested.
-	Log []LogEntry
+	// log is a read-only view of the shard's in-memory log tail (the active
+	// segment), sharing its chunks; empty unless requested.
+	log logView
 	// MRC is the shard sampler's window accounting; nil unless requested
 	// (or the service runs without an estimator).
 	MRC []mrclive.TenantWindow
@@ -441,10 +471,10 @@ func (sh *shard) handle(m shardMsg) {
 	} else {
 		// One atomic draw reserves the whole batch's sequence numbers: this
 		// single-writer loop applies the batch in order, so consecutive seqs
-		// preserve the per-shard monotonicity the log merge relies on, and
+		// preserve the per-shard monotonicity recovery and Verify check, and
 		// the lock-prefixed add leaves the per-request path. Seqs reserved
 		// for requests a mid-batch shard failure rejects are never logged;
-		// the merge only needs strict increase, not contiguity.
+		// the check only needs strict increase, not contiguity.
 		seq := sh.svc.seq.Add(int64(len(m.idxs))) - int64(len(m.idxs))
 		for i, ix := range m.idxs {
 			cur.pos = i
@@ -841,7 +871,7 @@ func (sh *shard) snapshot(withLog, withMRC bool) *ShardSnapshot {
 		snap.Seg = sh.wal.segIndex
 	}
 	if withLog {
-		snap.Log = sh.log.entries()
+		snap.log = sh.log.view()
 	}
 	if withMRC && sh.sampler != nil {
 		snap.MRC = sh.sampler.Snapshot()

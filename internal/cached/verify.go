@@ -3,7 +3,9 @@ package cached
 import (
 	"context"
 	"fmt"
+	"math"
 	"path"
+	"sync"
 	"time"
 
 	"convexcache/internal/sim"
@@ -23,9 +25,10 @@ type Counters struct {
 	TotalEvictions int64 `json:"total_evictions"`
 }
 
-// VerifyReport is the outcome of one live-vs-replay differential: the merged
-// request log replayed offline against the live counters. Clean means every
-// per-tenant counter matched exactly; Diffs lists each mismatch.
+// VerifyReport is the outcome of one live-vs-replay differential: every
+// shard's request log replayed offline against the live counters. Clean
+// means every per-tenant counter matched exactly; Diffs lists each mismatch.
+// ReplayDur is the wall time of the per-shard stream-and-replay phase.
 type VerifyReport struct {
 	Policy    string        `json:"policy"`
 	K         int           `json:"k"`
@@ -39,16 +42,20 @@ type VerifyReport struct {
 }
 
 // Verify snapshots every shard (on a batch boundary — safe under live
-// traffic), merges the per-shard request logs by global sequence number into
-// one trace, replays it offline and diffs the per-tenant counters exactly.
+// traffic), replays each shard's complete request log offline and diffs the
+// per-tenant counters exactly.
 //
-// The replay uses the same partitioned model as the live service: with one
-// shard it is sim.Run on the merged log; with n shards it is a
-// sim.BuildShardsBy plan routed by page mod n — precisely the partition the
-// live shards produced, since shard s only ever assigns page ids ≡ s (mod
-// n). Any nonzero diff is a bug in the live path (or the simulator), never
-// an artifact of concurrency: per-shard logs are the ground truth of what
-// each single-writer engine saw, in order.
+// The replay is per shard because the live service is a partitioned cache:
+// shard s of n holds only page ids ≡ s (mod n) at capacity
+// sim.ShardShare(K, n, s), and the objective Σ_i f_i(misses_i) is separable
+// per tenant, so the sum of independent per-shard replays is exactly the
+// replay of the whole service. Each shard streams its log (sealed WAL
+// segments, then the in-memory tail) into its own dense view and replays it
+// through sim's dense engine — or, in partition mode, through a fresh
+// quotaLRU — concurrently with the other shards. Any nonzero diff is a bug
+// in the live path (or the simulator), never an artifact of concurrency:
+// per-shard logs are the ground truth of what each single-writer engine
+// saw, in order.
 func (s *Service) Verify(ctx context.Context) (*VerifyReport, error) {
 	snaps := s.snapshotAll(true, false)
 	for _, snap := range snaps {
@@ -56,58 +63,54 @@ func (s *Service) Verify(ctx context.Context) (*VerifyReport, error) {
 			return nil, fmt.Errorf("cached: shard %d failed, log unreliable: %w", snap.Shard, snap.Err)
 		}
 	}
-	n := len(s.shards)
+	tenants := s.cfg.Tenants
 	rep := &VerifyReport{
 		Policy: s.engineName(),
 		K:      s.cfg.K,
-		Shards: n,
-	}
-	rep.Live = liveCounters(snaps, s.cfg.Tenants)
-	if s.cfg.Quotas != nil {
-		return s.verifyPartition(ctx, snaps, rep)
-	}
-
-	merged, err := s.mergeFullLogs(ctx, snaps)
-	if err != nil {
-		return nil, err
-	}
-	rep.Requests = len(merged)
-	if len(merged) == 0 {
-		rep.Replay = emptyCounters(s.cfg.Tenants)
-		rep.Clean = true
-		return rep, nil
-	}
-
-	b := trace.NewBuilder()
-	for _, e := range merged {
-		b.Add(e.Tenant, e.Page)
-	}
-	tr, err := b.Build()
-	if err != nil {
-		return nil, fmt.Errorf("cached: rebuilding trace from request log: %w", err)
+		Shards: len(s.shards),
+		Live:   liveCounters(snaps, tenants),
 	}
 
 	start := time.Now()
-	var res sim.Result
-	if n == 1 {
-		res, err = sim.RunContext(ctx, tr, s.cfg.NewPolicy(), sim.Config{K: s.cfg.K})
-	} else {
-		var pl *sim.ShardPlan
-		pl, err = sim.BuildShardsBy(tr, n, s.shardOfPage)
-		if err == nil {
-			res, err = pl.Run(ctx, s.cfg.NewPolicy, sim.Config{K: s.cfg.K, Engine: sim.EngineDense}, n)
-		}
+	per := make([]Counters, len(snaps))
+	errs := make([]error, len(snaps))
+	var wg sync.WaitGroup
+	for i, snap := range snaps {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if s.cfg.Quotas != nil {
+				per[i], errs[i] = s.replayPartition(ctx, snap)
+			} else {
+				per[i], errs[i] = s.replayClassic(ctx, snap)
+			}
+		}()
 	}
-	if err != nil {
-		if ctx.Err() != nil {
-			return nil, fmt.Errorf("cached: verify aborted: %w", ctx.Err())
+	wg.Wait()
+	// Report the lowest-numbered shard's error so a failure is as
+	// deterministic as a success.
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
 		}
-		return nil, fmt.Errorf("cached: replaying request log: %w", err)
 	}
 	rep.ReplayDur = time.Since(start)
 
-	rep.Replay = replayCounters(merged, res, s.cfg.Tenants)
-	rep.Diffs = diffCounters(rep.Live, rep.Replay, s.cfg.Tenants)
+	replay := emptyCounters(tenants)
+	for _, c := range per {
+		for t := 0; t < tenants; t++ {
+			replay.Requests[t] += c.Requests[t]
+			replay.Hits[t] += c.Hits[t]
+			replay.Misses[t] += c.Misses[t]
+			replay.Evictions[t] += c.Evictions[t]
+		}
+	}
+	replay.total()
+	for _, n := range replay.Requests {
+		rep.Requests += int(n)
+	}
+	rep.Replay = replay
+	rep.Diffs = diffCounters(rep.Live, replay, tenants)
 	rep.Clean = len(rep.Diffs) == 0
 	return rep, nil
 }
@@ -120,68 +123,144 @@ func (s *Service) engineName() string {
 	return s.shards[0].policy.Name()
 }
 
-// verifyPartition is the partition-mode differential: every page lives on
-// exactly one shard and every tenant's quota is served per shard, so each
-// shard's log replays independently through a fresh quotaLRU — the same
-// deterministic engine the live loop ran, including quota-change control
-// entries re-applied at their logged positions. The replay must reproduce
-// the live counters bit for bit; no cross-shard merge is needed (the merge
-// would only interleave independent sub-histories).
-func (s *Service) verifyPartition(ctx context.Context, snaps []*ShardSnapshot, rep *VerifyReport) (*VerifyReport, error) {
-	start := time.Now()
-	replay := emptyCounters(s.cfg.Tenants)
+// replayClassic replays one classic-mode shard: its log becomes a dense view
+// in a single pass with no map (see streamLog), which sim's dense engine
+// replays at the shard's capacity share. Per-tenant requests come from the
+// same pass; per-tenant hits follow as requests − misses.
+func (s *Service) replayClassic(ctx context.Context, snap *ShardSnapshot) (Counters, error) {
+	c := emptyCounters(s.cfg.Tenants)
+	reqs := make([]int32, 0, snap.LogStart+snap.LogLen)
+	owners, err := s.streamLog(ctx, snap, func(e LogEntry, ix int32) error {
+		if ix < 0 {
+			return fmt.Errorf("cached: shard %d: quota control entry (seq %d) outside partition mode", snap.Shard, e.Seq)
+		}
+		c.Requests[e.Tenant]++
+		reqs = append(reqs, ix)
+		return nil
+	})
+	if err != nil || len(reqs) == 0 {
+		return c, err
+	}
 	n := len(s.shards)
-	for _, snap := range snaps {
-		q := newQuotaLRU(localQuotas(s.cfg.Quotas, n, snap.Shard), n, snap.Shard)
-		lastSeq := int64(-1)
-		i := 0
-		step := func(e LogEntry) error {
-			if i%65536 == 0 && ctx.Err() != nil {
-				return fmt.Errorf("cached: verify aborted: %w", ctx.Err())
-			}
-			if e.Seq <= lastSeq {
-				return fmt.Errorf("cached: shard %d log entry %d: seq %d not increasing (prev %d)",
-					snap.Shard, i, e.Seq, lastSeq)
-			}
-			lastSeq = e.Seq
-			i++
-			if e.Quotas != nil {
-				for t, ev := range q.SetQuotas(localQuotas(e.Quotas, n, snap.Shard)) {
-					replay.Evictions[t] += int64(ev)
-				}
-				return nil
-			}
-			rep.Requests++
-			replay.Requests[e.Tenant]++
-			hit, evicted := q.Access(e.Tenant, e.Page)
-			if hit {
-				replay.Hits[e.Tenant]++
-			} else {
-				replay.Misses[e.Tenant]++
-			}
-			if evicted {
-				replay.Evictions[e.Tenant]++
+	pages := make([]trace.PageID, len(owners))
+	for ix := range pages {
+		pages[ix] = trace.PageID(snap.Shard + ix*n)
+	}
+	d := &trace.Dense{Pages: pages, Owners: owners, Reqs: reqs, Tenants: s.cfg.Tenants}
+	res, err := s.replayView(ctx, d, sim.ShardShare(s.cfg.K, n, snap.Shard))
+	if err != nil {
+		if ctx.Err() != nil {
+			return c, fmt.Errorf("cached: verify aborted: %w", ctx.Err())
+		}
+		return c, fmt.Errorf("cached: shard %d: replaying request log: %w", snap.Shard, err)
+	}
+	for t, m := range res.Misses {
+		c.Misses[t] = m
+		c.Hits[t] = c.Requests[t] - m
+	}
+	copy(c.Evictions, res.Evictions)
+	return c, nil
+}
+
+// replayView replays one shard's dense view at capacity k on a fresh policy
+// through sim's dense engine. New admits a policy without a dense engine
+// only on a single shard; that case replays through sim.RunContext on the
+// view's original page ids, the map engine's input.
+func (s *Service) replayView(ctx context.Context, d *trace.Dense, k int) (sim.Result, error) {
+	p := s.cfg.NewPolicy()
+	if dp, ok := p.(sim.DensePolicy); ok {
+		return sim.RunDense(ctx, d, dp, sim.Config{K: k})
+	}
+	b := trace.NewBuilder()
+	for _, ix := range d.Reqs {
+		b.Add(d.Owners[ix], d.Pages[ix])
+	}
+	tr, err := b.Build()
+	if err != nil {
+		return sim.Result{}, err
+	}
+	return sim.RunContext(ctx, tr, p, sim.Config{K: k})
+}
+
+// replayPartition is the partition-mode replay of one shard: every page
+// lives on exactly one shard and every tenant's quota is served per shard,
+// so the shard's log replays independently through a fresh quotaLRU — the
+// same deterministic engine the live loop ran, including quota-change
+// control entries re-applied at their logged positions.
+func (s *Service) replayPartition(ctx context.Context, snap *ShardSnapshot) (Counters, error) {
+	c := emptyCounters(s.cfg.Tenants)
+	n := len(s.shards)
+	q := newQuotaLRU(localQuotas(s.cfg.Quotas, n, snap.Shard), n, snap.Shard)
+	_, err := s.streamLog(ctx, snap, func(e LogEntry, _ int32) error {
+		if e.Quotas != nil {
+			for t, ev := range q.SetQuotas(localQuotas(e.Quotas, n, snap.Shard)) {
+				c.Evictions[t] += int64(ev)
 			}
 			return nil
 		}
-		// Sealed WAL segments stream from disk (they are immutable once
-		// rotated, so this is safe under live traffic), then the in-memory
-		// tail — together the shard's complete history.
-		if err := s.sealedEntries(ctx, snap, step); err != nil {
-			return nil, err
+		c.Requests[e.Tenant]++
+		hit, evicted := q.Access(e.Tenant, e.Page)
+		if hit {
+			c.Hits[e.Tenant]++
+		} else {
+			c.Misses[e.Tenant]++
 		}
-		for _, e := range snap.Log {
-			if err := step(e); err != nil {
-				return nil, err
-			}
+		if evicted {
+			c.Evictions[e.Tenant]++
 		}
+		return nil
+	})
+	return c, err
+}
+
+// streamLog feeds fn one shard's complete log in order: the sealed WAL
+// segments from disk, then the snapshot's in-memory tail. Every entry
+// passes checkEntry — the validator recovery runs — before fn sees it.
+//
+// Each request also gets its page's dense index, with no map: shard s of n
+// interns pages as s, s+n, s+2n, … in first-appearance order, so the index
+// is (page−s)/n and the pages appear in the log in index order. A request
+// whose index skips past every page seen so far, or whose page changes
+// tenant, is rejected. streamLog returns the owner of each dense index;
+// quota control entries reach fn with index −1.
+func (s *Service) streamLog(ctx context.Context, snap *ShardSnapshot, fn func(e LogEntry, ix int32) error) ([]trace.Tenant, error) {
+	if snap.LogStart+snap.LogLen > math.MaxInt32 {
+		return nil, fmt.Errorf("cached: shard %d: log of %d entries is too long to replay", snap.Shard, snap.LogStart+snap.LogLen)
 	}
-	replay.total()
-	rep.ReplayDur = time.Since(start)
-	rep.Replay = replay
-	rep.Diffs = diffCounters(rep.Live, replay, s.cfg.Tenants)
-	rep.Clean = len(rep.Diffs) == 0
-	return rep, nil
+	id, n, tenants := snap.Shard, len(s.shards), s.cfg.Tenants
+	var owners []trace.Tenant
+	var prevSeq int64
+	i := 0
+	step := func(e LogEntry) error {
+		if i%65536 == 0 && ctx.Err() != nil {
+			return fmt.Errorf("cached: verify aborted: %w", ctx.Err())
+		}
+		if err := checkEntry(e, prevSeq, id, n, tenants); err != nil {
+			return fmt.Errorf("cached: shard %d log entry %d: %w", id, i, err)
+		}
+		prevSeq = e.Seq
+		i++
+		if e.Quotas != nil {
+			return fn(e, -1)
+		}
+		ix := (int64(e.Page) - int64(id)) / int64(n)
+		switch {
+		case ix == int64(len(owners)):
+			owners = append(owners, e.Tenant)
+		case ix > int64(len(owners)):
+			return fmt.Errorf("cached: shard %d log entry %d: page %d appears before page %d", id, i-1, e.Page, int64(id)+int64(len(owners))*int64(n))
+		case owners[ix] != e.Tenant:
+			return fmt.Errorf("cached: shard %d log entry %d: page %d requested by tenant %d but owned by tenant %d", id, i-1, e.Page, e.Tenant, owners[ix])
+		}
+		return fn(e, int32(ix))
+	}
+	if err := s.sealedEntries(ctx, snap, step); err != nil {
+		return nil, err
+	}
+	if err := snap.log.each(step); err != nil {
+		return nil, err
+	}
+	return owners, nil
 }
 
 // sealedEntries streams the sealed (pre-tail) portion of one shard's log
@@ -230,55 +309,6 @@ func (s *Service) sealedEntries(ctx context.Context, snap *ShardSnapshot, fn fun
 	return nil
 }
 
-// mergeFullLogs reconstructs every shard's complete log (sealed prefix from
-// disk plus in-memory tail) and k-way merges them by sequence number.
-func (s *Service) mergeFullLogs(ctx context.Context, snaps []*ShardSnapshot) ([]LogEntry, error) {
-	full := make([]*ShardSnapshot, len(snaps))
-	for i, snap := range snaps {
-		if snap.LogStart == 0 {
-			full[i] = snap
-			continue
-		}
-		entries := make([]LogEntry, 0, snap.LogStart+len(snap.Log))
-		if err := s.sealedEntries(ctx, snap, func(e LogEntry) error {
-			entries = append(entries, e)
-			return nil
-		}); err != nil {
-			return nil, err
-		}
-		entries = append(entries, snap.Log...)
-		full[i] = &ShardSnapshot{Shard: snap.Shard, Log: entries}
-	}
-	return mergeLogs(full), nil
-}
-
-// mergeLogs k-way-merges the per-shard logs by sequence number. Each shard's
-// log is strictly increasing in Seq (sequence numbers are drawn from the
-// global atomic inside the single-writer loop), so the merge reconstructs a
-// valid global admission order.
-func mergeLogs(snaps []*ShardSnapshot) []LogEntry {
-	total := 0
-	for _, snap := range snaps {
-		total += len(snap.Log)
-	}
-	merged := make([]LogEntry, 0, total)
-	heads := make([]int, len(snaps))
-	for len(merged) < total {
-		best := -1
-		for i, snap := range snaps {
-			if heads[i] >= len(snap.Log) {
-				continue
-			}
-			if best < 0 || snap.Log[heads[i]].Seq < snaps[best].Log[heads[best]].Seq {
-				best = i
-			}
-		}
-		merged = append(merged, snaps[best].Log[heads[best]])
-		heads[best]++
-	}
-	return merged
-}
-
 func emptyCounters(tenants int) Counters {
 	return Counters{
 		Requests:  make([]int64, tenants),
@@ -298,27 +328,6 @@ func liveCounters(snaps []*ShardSnapshot, tenants int) Counters {
 			c.Evictions[t] += snap.Evictions[t]
 			c.Requests[t] += snap.Hits[t] + snap.Misses[t]
 		}
-	}
-	c.total()
-	return c
-}
-
-// replayCounters shapes a sim.Result into Counters. The simulator reports
-// per-tenant misses and evictions plus total hits; per-tenant hits follow as
-// requests − misses. Result slices are sized by the log's tenant universe,
-// which may be narrower than the configured one if some tenants never sent
-// a request — the tail stays zero.
-func replayCounters(merged []LogEntry, res sim.Result, tenants int) Counters {
-	c := emptyCounters(tenants)
-	for _, e := range merged {
-		c.Requests[e.Tenant]++
-	}
-	for t, m := range res.Misses {
-		c.Misses[t] = m
-		c.Hits[t] = c.Requests[t] - m
-	}
-	for t, ev := range res.Evictions {
-		c.Evictions[t] = ev
 	}
 	c.total()
 	return c

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"convexcache/internal/trace"
@@ -43,9 +44,27 @@ func runDense(ctx context.Context, tr *trace.Trace, p DensePolicy, cfg Config) (
 	return runDenseView(ctx, tr.Dense(), p, cfg)
 }
 
-// runDenseView drives the dense engine over an explicit trace view. The
-// sharded runner calls it directly with per-shard request subsequences that
-// share one global dense remap.
+// RunDense drives the dense engine over a caller-built view d instead of a
+// trace's own remap: d.Reqs are dense indices into d.Owners, and d.Tenants
+// bounds the owners. The sharded runner passes per-shard subsequences of one
+// trace's remap; the live cache's Verify builds one view per shard straight
+// from the shard's request log. A policy that declines the dense engine in
+// PrepareDense is an error.
+func RunDense(ctx context.Context, d *trace.Dense, p DensePolicy, cfg Config) (Result, error) {
+	if cfg.K <= 0 {
+		return Result{}, errors.New("sim: cache size must be positive")
+	}
+	if ctx.Err() != nil {
+		return Result{}, cancelErr(ctx, 0)
+	}
+	res, handled, err := runDenseView(ctx, d, p, cfg)
+	if err == nil && !handled {
+		err = fmt.Errorf("sim: policy %s declined the dense engine", p.Name())
+	}
+	return res, err
+}
+
+// runDenseView drives the dense engine over an explicit trace view.
 func runDenseView(ctx context.Context, d *trace.Dense, p DensePolicy, cfg Config) (Result, bool, error) {
 	if !p.PrepareDense(d, cfg.K) {
 		return Result{}, false, nil
