@@ -233,3 +233,46 @@ func BenchmarkVerify(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*logged), "ns/req")
 }
+
+// BenchmarkCheckpoint is one shard checkpoint write on a shard with a full
+// cache and a long history: one shard, k = 16384, 4 tenants, 2^18 distinct
+// keys interned (16x k). One op is one writeCheckpoint — encode, frame,
+// write, rename, prune — with fsync off, so the number is the checkpoint's
+// own CPU and allocation cost, not the disk's.
+func BenchmarkCheckpoint(b *testing.B) {
+	const k, tenants, keys, batch = 16384, 4, 1 << 18, 1024
+	costs := []costfn.Func{
+		costfn.Monomial{C: 1, Beta: 2}, costfn.Linear{W: 3},
+		costfn.Monomial{C: 1, Beta: 2}, costfn.Linear{W: 3},
+	}
+	svc, err := New(Config{
+		K: k, Shards: 1, Tenants: tenants,
+		NewPolicy: func() sim.Policy { return core.NewFast(core.Options{Costs: costs}) },
+		WAL:       &WALConfig{Dir: b.TempDir(), Fsync: FsyncOff, SegmentBytes: 64 << 20, CheckpointEvery: -1},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	reqs := make([]Request, batch)
+	for lo := 0; lo < keys; lo += batch {
+		for i := range reqs {
+			reqs[i] = Request{Op: OpPut, Tenant: trace.Tenant((lo + i) % tenants), Key: fmt.Appendf(nil, "key-%d", lo+i)}
+		}
+		if _, err := svc.Apply(reqs); err != nil {
+			b.Fatal(err)
+		}
+	}
+	// Close stops the shard loop, so the benchmark goroutine owns the shard.
+	svc.Close()
+	sh := svc.shards[0]
+	if sh.pages != keys || sh.occupancy() != k {
+		b.Fatalf("shard holds %d pages (%d resident), want %d (%d)", sh.pages, sh.occupancy(), keys, k)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := sh.writeCheckpoint(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -168,6 +168,9 @@ type Service struct {
 	// restarts, shed requests, WAL/checkpoint activity.
 	mShardDown, mShardRestarts, mShed *obs.Counter
 	mWALErrors, mCheckpoints          *obs.Counter
+	// mCheckpointSecs times each checkpoint write on the shard loop (the
+	// loop stalls for exactly that long).
+	mCheckpointSecs *obs.Histogram
 }
 
 // New validates the configuration, starts the shard goroutines and returns
@@ -238,6 +241,7 @@ func New(cfg Config) (*Service, error) {
 	s.mShed = reg.Counter("cached_shed_total")
 	s.mWALErrors = reg.Counter("cached_wal_errors_total")
 	s.mCheckpoints = reg.Counter("cached_checkpoints_total")
+	s.mCheckpointSecs = reg.Histogram("cached_checkpoint_duration_seconds", nil)
 	var hasState bool
 	if cfg.WAL != nil {
 		w := *cfg.WAL

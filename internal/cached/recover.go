@@ -8,7 +8,6 @@ import (
 	"hash/crc32"
 	"io"
 	"path"
-	"sort"
 	"time"
 
 	"convexcache/internal/core"
@@ -25,8 +24,12 @@ import (
 // bit-identical to the shard that wrote the log — check.DiffRecovery proves
 // exactly that.
 
-// checkpoint is one durable shard snapshot: identity state (key table, page
-// allocator), counters, and the engine image. Only engines with an exact
+// checkpoint is one durable shard snapshot: counters, the page allocator's
+// position, and the engine image — O(k + tenants), whatever the history.
+// The key table is deliberately absent: every page's first-appearance WAL
+// record carries its wire key, and recovery reads the whole segment chain
+// anyway, so it re-interns the covered prefix's keys from the log and checks
+// the result against Pages/NextPage. Only engines with an exact
 // serialization are checkpointed — the quota partition (quotaLRU dump) and
 // the paper's algorithm (core.FastSnapshot); other policies recover by full
 // WAL replay, which is always correct, just slower. The file is a single
@@ -48,9 +51,10 @@ type checkpoint struct {
 	Misses    []int64 `json:"misses"`
 	Evictions []int64 `json:"evictions"`
 
-	Pages    int       `json:"pages"`
-	NextPage int64     `json:"next_page"`
-	Keys     []ckptKey `json:"keys"`
+	// Pages and NextPage are the allocator after entry Entries; the key
+	// table recovery re-derives from the WAL prefix must reproduce both.
+	Pages    int   `json:"pages"`
+	NextPage int64 `json:"next_page"`
 
 	// Engine is "quota" or "fast"; exactly one image field is set.
 	Engine string `json:"engine"`
@@ -60,12 +64,6 @@ type checkpoint struct {
 	// tenant's resident pages MRU→LRU (partition mode).
 	Quotas     []int     `json:"quotas,omitempty"`
 	QuotaPages [][]int64 `json:"quota_pages,omitempty"`
-}
-
-type ckptKey struct {
-	Tenant int    `json:"t"`
-	Page   int64  `json:"p"`
-	Key    string `json:"k"`
 }
 
 // RecoveryReport summarizes a startup recovery (Service.Recovery).
@@ -127,20 +125,13 @@ func (sh *shard) buildCheckpoint() *checkpoint {
 		ck.Engine = "fast"
 		ck.Fast = &snap
 	}
-	for t := range sh.keys {
-		base := len(ck.Keys)
-		sh.keys[t].each(func(k []byte, p trace.PageID) {
-			ck.Keys = append(ck.Keys, ckptKey{Tenant: t, Page: int64(p), Key: string(k)})
-		})
-		keys := ck.Keys[base:]
-		sort.Slice(keys, func(i, j int) bool { return keys[i].Page < keys[j].Page })
-	}
 	return ck
 }
 
 // writeCheckpoint durably stores the shard image: CRC-framed JSON to a temp
 // file, fsync (per policy), rename into place, prune all but the two newest.
 func (sh *shard) writeCheckpoint() error {
+	start := time.Now()
 	ck := sh.buildCheckpoint()
 	if ck == nil {
 		return nil
@@ -179,6 +170,7 @@ func (sh *shard) writeCheckpoint() error {
 			_ = w.fs.Remove(path.Join(w.dir, ckptName(n)))
 		}
 	}
+	sh.svc.mCheckpointSecs.Observe(time.Since(start).Seconds())
 	return nil
 }
 
@@ -202,9 +194,11 @@ func (sh *shard) loadCheckpoint(name string) (*checkpoint, error) {
 }
 
 // installCheckpoint validates the image against the current configuration
-// and installs it: counters, key table, engine state, bookkeeping. A
-// mismatch (resized cluster, different engine) rejects the checkpoint — the
-// caller falls back to an older one or to full replay.
+// and installs it: counters, engine state, bookkeeping. The key table and
+// page allocator are not installed — replaySegments re-derives them from the
+// covered WAL prefix and checks them against Pages/NextPage. A mismatch
+// (resized cluster, different engine) rejects the checkpoint — the caller
+// falls back to an older one or to full replay.
 func (sh *shard) installCheckpoint(ck *checkpoint) error {
 	cfg := sh.svc.cfg
 	switch {
@@ -218,25 +212,10 @@ func (sh *shard) installCheckpoint(ck *checkpoint) error {
 		return fmt.Errorf("checkpoint has %d tenants, config has %d", ck.Tenants, cfg.Tenants)
 	case len(ck.Hits) != cfg.Tenants || len(ck.Misses) != cfg.Tenants || len(ck.Evictions) != cfg.Tenants:
 		return errors.New("checkpoint counter vectors are missized")
-	case ck.Entries < 0 || ck.Pages != len(ck.Keys):
-		return fmt.Errorf("checkpoint claims %d pages but carries %d keys", ck.Pages, len(ck.Keys))
+	case ck.Entries <= 0:
+		return fmt.Errorf("checkpoint covers %d entries", ck.Entries)
 	}
 	n := cfg.Shards
-	for _, k := range ck.Keys {
-		if k.Tenant < 0 || k.Tenant >= cfg.Tenants {
-			return fmt.Errorf("checkpoint key for out-of-range tenant %d", k.Tenant)
-		}
-		if k.Page < 0 || int(k.Page%int64(n)) != sh.id || k.Page >= ck.NextPage {
-			return fmt.Errorf("checkpoint key maps to page %d outside shard %d's allocation", k.Page, sh.id)
-		}
-		kt := &sh.keys[k.Tenant]
-		kb := []byte(k.Key)
-		h, pre := hashKey(kb)
-		if _, dup := kt.lookup(h, pre, kb); dup {
-			return fmt.Errorf("checkpoint has duplicate key for tenant %d", k.Tenant)
-		}
-		kt.insert(h, pre, kb, trace.PageID(k.Page))
-	}
 	switch ck.Engine {
 	case "quota":
 		if sh.qlru == nil {
@@ -281,8 +260,6 @@ func (sh *shard) installCheckpoint(ck *checkpoint) error {
 	copy(sh.hits, ck.Hits)
 	copy(sh.misses, ck.Misses)
 	copy(sh.evictions, ck.Evictions)
-	sh.pages = ck.Pages
-	sh.nextPage = trace.PageID(ck.NextPage)
 	sh.steps = ck.Entries
 	sh.lastSeq = ck.LastSeq
 	sh.lastQuotaSeq = ck.LastQuotaSeq
@@ -343,20 +320,19 @@ func (sh *shard) recoverWAL(rep *RecoveryReport) error {
 }
 
 // replaySegments is one recovery attempt: reset, install ck (may be nil =
-// full replay), then scan every segment in chain order, re-running each
-// entry past the checkpoint through the verbatim engine step. The final
-// segment may end in a torn tail, which is truncated at the last valid
-// frame; any earlier damage, ordering violation or chain gap is a hard
-// error.
+// full replay), then scan every segment in chain order. Entries the
+// checkpoint covers only re-intern their keys (the image already holds
+// their engine effect), and the allocator they rebuild must match the
+// checkpoint's; each entry past it re-runs through the verbatim engine
+// step. The final segment may end in a torn tail, which is truncated at the
+// last valid frame; any earlier damage, ordering violation or chain gap is
+// a hard error.
 func (sh *shard) replaySegments(segs []int, ck *checkpoint, rep *RecoveryReport) error {
 	sh.resetForRecovery()
 	w := sh.wal
 	ckEntries := 0
 	if ck != nil {
 		if err := sh.installCheckpoint(ck); err != nil {
-			// Installation can fail after mutating the key table; reset so
-			// the next candidate starts clean.
-			sh.resetForRecovery()
 			return err
 		}
 		ckEntries = ck.Entries
@@ -412,7 +388,18 @@ func (sh *shard) replaySegments(segs []int, ck *checkpoint, rep *RecoveryReport)
 				tail.append(e)
 			}
 			if at < ckEntries {
-				return nil // covered by the checkpoint image
+				// Covered by the checkpoint image: rebuild the key table only.
+				if e.Quotas == nil {
+					if err := sh.internLogged(e, rec.key); err != nil {
+						return fmt.Errorf("segment %d: %w", idx, err)
+					}
+				}
+				// The covered prefix must allocate exactly the image's pages.
+				if at == ckEntries-1 && (sh.pages != ck.Pages || int64(sh.nextPage) != ck.NextPage) {
+					return fmt.Errorf("checkpoint at entry %d claims %d pages (next page %d), the wal prefix interns %d (next page %d)",
+						ck.Entries, ck.Pages, ck.NextPage, sh.pages, sh.nextPage)
+				}
+				return nil
 			}
 			replayed++
 			return sh.replayEntry(e, rec.key)
@@ -544,8 +531,9 @@ func readOneFrame(r io.Reader) ([]byte, error) {
 	return payload, nil
 }
 
-// maxCheckpointBytes bounds a checkpoint frame (the key table dominates; a
-// gigabyte of keys is beyond anything this service holds in memory anyway).
+// maxCheckpointBytes bounds a checkpoint frame. Today's image is O(k); the
+// bound is sized for checkpoints written before the key table left the
+// image, which carried every interned key and must still load.
 const maxCheckpointBytes = 1 << 30
 
 // reconcileQuotas runs after all shards recovered (partition mode): a crash

@@ -714,21 +714,43 @@ func (sh *shard) replayEntry(e LogEntry, key []byte) error {
 		sh.stepQuotas(e.Quotas)
 		return nil
 	}
-	if key != nil {
-		kt := &sh.keys[e.Tenant]
-		h, pre := hashKey(key)
-		if _, seen := kt.lookup(h, pre, key); !seen {
-			kt.insert(h, pre, key, e.Page)
-			sh.pages++
-			if next := e.Page + trace.PageID(len(sh.svc.shards)); next > sh.nextPage {
-				sh.nextPage = next
-			}
-		}
+	if err := sh.internLogged(e, key); err != nil {
+		return fmt.Errorf("cached: shard %d: %w", sh.id, err)
 	}
 	sh.steps++
 	sh.lastSeq = e.Seq
 	sh.stepRequest(e.Page, e.Tenant)
 	return sh.failed
+}
+
+// internLogged re-derives the key table from one logged request, holding
+// the log to what the live allocator can have written (apply): a key not yet
+// interned (a first appearance) must carry exactly the next page id, an
+// interned key must name its own page (a panic rebuild replays records
+// whose keys survived), and a keyless entry must name an allocated page.
+// Recovery runs it on every request entry, checkpoint-covered or not.
+func (sh *shard) internLogged(e LogEntry, key []byte) error {
+	if key == nil {
+		if e.Page >= sh.nextPage {
+			return fmt.Errorf("keyless entry (seq %d) names page %d, which is not allocated yet (next page %d)", e.Seq, e.Page, sh.nextPage)
+		}
+		return nil
+	}
+	kt := &sh.keys[e.Tenant]
+	h, pre := hashKey(key)
+	if page, seen := kt.lookup(h, pre, key); seen {
+		if page != e.Page {
+			return fmt.Errorf("entry (seq %d) logs tenant %d's key %q on page %d, but it is interned as page %d", e.Seq, e.Tenant, key, e.Page, page)
+		}
+		return nil
+	}
+	if e.Page != sh.nextPage {
+		return fmt.Errorf("entry (seq %d) interns a new key on page %d, but the next page is %d", e.Seq, e.Page, sh.nextPage)
+	}
+	kt.insert(h, pre, key, e.Page)
+	sh.pages++
+	sh.nextPage += trace.PageID(len(sh.svc.shards))
+	return nil
 }
 
 // resetEngine rebuilds a fresh engine and zeroes the replay-derived state
