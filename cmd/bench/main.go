@@ -40,6 +40,7 @@ import (
 	"os"
 	"os/exec"
 	"runtime"
+	"runtime/debug"
 	"runtime/pprof"
 	"strconv"
 	"strings"
@@ -50,6 +51,7 @@ import (
 	"convexcache/internal/core"
 	"convexcache/internal/costfn"
 	"convexcache/internal/experiments"
+	"convexcache/internal/mrclive"
 	"convexcache/internal/policy"
 	"convexcache/internal/runspec"
 	"convexcache/internal/sim"
@@ -72,8 +74,12 @@ type Report struct {
 	GeneratedAt string `json:"generated_at"`
 	GoVersion   string `json:"go_version"`
 	GOMAXPROCS  int    `json:"gomaxprocs"`
-	// Commit is the git HEAD the binary was run from ("" outside a repo).
+	// Commit is the revision the binary was built from ("" outside a repo).
 	Commit string `json:"commit,omitempty"`
+	// Dirty reports whether the working tree had uncommitted changes, so
+	// numbers measured on an edited tree never pass for Commit's own
+	// (absent when unknown).
+	Dirty *bool `json:"dirty,omitempty"`
 	// BatchSize is the dense engine's StepBatch run length.
 	BatchSize int `json:"batch_size,omitempty"`
 	// ShardCounts lists the RunSharded worker counts the sharded suite
@@ -163,11 +169,13 @@ func main() {
 		defer pprof.StopCPUProfile()
 	}
 
+	commit, dirty := provenance()
 	rep := Report{
 		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
 		GoVersion:   runtime.Version(),
 		GOMAXPROCS:  runtime.GOMAXPROCS(0),
-		Commit:      gitCommit(),
+		Commit:      commit,
+		Dirty:       dirty,
 		BatchSize:   sim.BatchSize,
 		ShardCounts: shardCounts,
 		Note:        *note,
@@ -289,13 +297,36 @@ func compare(base, fresh *Report, threshold float64) int {
 	return regressions
 }
 
-// gitCommit resolves the current HEAD for report provenance; best-effort.
-func gitCommit() string {
-	out, err := exec.Command("git", "rev-parse", "--short=12", "HEAD").Output()
-	if err != nil {
-		return ""
+// provenance returns the revision the binary was built from and whether
+// the tree had uncommitted changes. A binary built by go build inside the
+// repository carries both as the vcs.revision and vcs.modified build
+// settings; go run stamps none, so the fallback asks git. dirty is nil when
+// unknown.
+func provenance() (commit string, dirty *bool) {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			switch s.Key {
+			case "vcs.revision":
+				commit = s.Value
+			case "vcs.modified":
+				d := s.Value == "true"
+				dirty = &d
+			}
+		}
+		if commit != "" {
+			return commit, dirty
+		}
 	}
-	return strings.TrimSpace(string(out))
+	out, err := exec.Command("git", "rev-parse", "HEAD").Output()
+	if err != nil {
+		return "", nil
+	}
+	commit = strings.TrimSpace(string(out))
+	if st, err := exec.Command("git", "status", "--porcelain").Output(); err == nil {
+		d := len(bytes.TrimSpace(st)) > 0
+		dirty = &d
+	}
+	return commit, dirty
 }
 
 // benchTrace mirrors the E10 workload of bench_test.go: a 4-tenant Zipf mix
@@ -422,7 +453,8 @@ func shardedSuite() []Result {
 // report carries the live fast-path speedup next to the replay numbers it
 // chases. Each iteration builds a fresh service, so interning and routing
 // overhead is measured, not amortized away; both modes pay it identically.
-// The last rows put the HTTP front end above Apply (handlerBench) and
+// The last rows put partition mode with and without the live MRC sampler
+// (partitionBench), the HTTP front end above Apply (handlerBench) and
 // Verify (verifyBench) under the same gate.
 func liveSuite() []Result {
 	tr := benchTrace(4, 4096, 200_000)
@@ -477,7 +509,83 @@ func liveSuite() []Result {
 		out = append(out, res)
 		fmt.Fprintf(os.Stderr, "bench: %-28s %12.0f req/s %8d allocs/op\n", m.name, res.ReqPerSec, res.AllocsPerOp)
 	}
+	out = append(out, partitionBench()...)
 	return append(out, handlerBench(), verifyBench())
+}
+
+// partitionBench measures partition mode through Service.Apply in the
+// end-to-end benchmark's adaptive-shift shape — 8 tenants on shifting hot
+// sets, 2 shards, k = 16384, even quotas — once with the live MRC sampler
+// off and once with it on as cached serve -adaptive runs it (k tracked
+// sizes, rate 1, 8 epochs of 4096 requests). The difference of the two rows
+// is the sampler's cost per request. Each op serves 2^18 requests in
+// 512-request batches on a fresh service.
+func partitionBench() []Result {
+	const tenants, k, batch = 8, 16384, 512
+	specs := make([]string, tenants)
+	costSpecs := make([]string, tenants)
+	for t := range specs {
+		hot := []int{512, 1024, 2048, 4096}[t%4]
+		specs[t] = fmt.Sprintf("hotset:32768,%d,0.9,%d", hot, 12000+2000*t)
+		costSpecs[t] = []string{"monomial:1,2", "linear:4", "monomial:2,2", "monomial:1,3"}[t%4]
+	}
+	costs, err := runspec.Costs(costSpecs, tenants)
+	if err != nil {
+		fatal(err)
+	}
+	keys := make([]workload.Stream, tenants)
+	for t := range keys {
+		if keys[t], _, err = workload.ParseStream(specs[t], int64(t+1)); err != nil {
+			fatal(err)
+		}
+	}
+	pick := rand.New(rand.NewSource(7))
+	reqs := make([]cached.Request, 1<<18)
+	arena := make([]byte, 0, 7*len(reqs))
+	for i := range reqs {
+		t := pick.Intn(tenants)
+		base := len(arena)
+		arena = strconv.AppendInt(append(arena, 'k'), keys[t].Next(), 10)
+		reqs[i] = cached.Request{Op: cached.OpGet, Tenant: trace.Tenant(t), Key: arena[base:len(arena):len(arena)]}
+	}
+	quotas := make([]int, tenants)
+	for t := range quotas {
+		quotas[t] = k / tenants
+	}
+	modes := []struct {
+		name string
+		mrc  *mrclive.Config
+	}{
+		{"live/partition/n=2/k=16384", nil},
+		{"live/mrclive/n=2/k=16384", &mrclive.Config{MaxSize: k, Rate: 1, Seed: 1, WindowEpochs: 8, EpochRequests: 4096}},
+	}
+	var out []Result
+	for _, m := range modes {
+		r := measure(func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				svc, err := cached.New(cached.Config{
+					K: k, Shards: 2, Tenants: tenants, Quotas: quotas,
+					Costs: costs, ReserveFloor: 1, MRC: m.mrc,
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				for lo := 0; lo < len(reqs); lo += batch {
+					if _, err := svc.Apply(reqs[lo : lo+batch]); err != nil {
+						svc.Close()
+						b.Fatal(err)
+					}
+				}
+				svc.Close()
+			}
+		})
+		res := toResult(m.name, r)
+		res.ReqPerSec = float64(len(reqs)*r.N) / r.T.Seconds()
+		out = append(out, res)
+		fmt.Fprintf(os.Stderr, "bench: %-28s %12.0f req/s %8d allocs/op\n", m.name, res.ReqPerSec, res.AllocsPerOp)
+	}
+	return out
 }
 
 // hotReadBodies builds 64 wire bodies of batch GETs in the end-to-end

@@ -13,30 +13,6 @@ import (
 	"convexcache/internal/trace"
 )
 
-// fenwick is a binary indexed tree over time slots, used to count resident
-// "more recently used" pages above a position in one pass.
-type fenwick struct {
-	n    int
-	tree []int
-}
-
-func newFenwick(n int) *fenwick { return &fenwick{n: n, tree: make([]int, n+1)} }
-
-func (f *fenwick) add(i, delta int) {
-	for i++; i <= f.n; i += i & (-i) {
-		f.tree[i] += delta
-	}
-}
-
-// prefix returns the sum of entries [0, i].
-func (f *fenwick) prefix(i int) int {
-	s := 0
-	for i++; i > 0; i -= i & (-i) {
-		s += f.tree[i]
-	}
-	return s
-}
-
 // StackResult holds the outcome of a Mattson pass.
 type StackResult struct {
 	// HitsAt[c] is the number of hits an LRU cache of size c+1 would score
@@ -85,23 +61,25 @@ func Mattson(tr *trace.Trace, maxSize int) (StackResult, error) {
 		HitsAt:   make([]int64, maxSize),
 		Requests: int64(T),
 	}
-	ft := newFenwick(T)
+	ft := NewFenwick(T)
 	lastPos := make(map[trace.PageID]int, tr.NumPages())
 	hitsAtDistance := make([]int64, maxSize) // hits with stack distance d+1 <= maxSize
 	for t, r := range tr.Requests() {
 		if prev, ok := lastPos[r.Page]; ok {
 			// Stack distance = #distinct pages touched in (prev, t) = number
-			// of active slots strictly after prev.
-			dist := ft.prefix(T-1) - ft.prefix(prev)
+			// of active slots strictly after prev. Every distinct page seen
+			// so far holds exactly one active slot, so the active total is
+			// len(lastPos).
+			dist := len(lastPos) - ft.Prefix(prev)
 			res.Distances = append(res.Distances, dist)
 			if dist < maxSize {
 				hitsAtDistance[dist]++
 			}
-			ft.add(prev, -1)
+			ft.Add(prev, -1)
 		} else {
 			res.ColdMisses++
 		}
-		ft.add(t, 1)
+		ft.Add(t, 1)
 		lastPos[r.Page] = t
 	}
 	// A cache of size c hits every request with stack distance < c.

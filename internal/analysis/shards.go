@@ -103,7 +103,7 @@ func ApproxMattson(tr *trace.Trace, maxSize int, rate float64, seed uint64) (App
 		HitsAt:   make([]float64, maxSize),
 		Requests: int64(T),
 	}
-	ft := newFenwick(T)
+	ft := NewFenwick(T)
 	lastPos := make(map[trace.PageID]int)
 	hitsAtDistance := make([]int64, maxSize)
 	for t, r := range tr.Requests() {
@@ -112,15 +112,15 @@ func ApproxMattson(tr *trace.Trace, maxSize int, rate float64, seed uint64) (App
 		}
 		res.SampledRequests++
 		if prev, ok := lastPos[r.Page]; ok {
-			sampledDist := ft.prefix(T-1) - ft.prefix(prev)
+			sampledDist := len(lastPos) - ft.Prefix(prev)
 			// Rescale: each sampled distinct page stands for 1/rate pages.
 			dist := int(float64(sampledDist) / rate)
 			if dist < maxSize {
 				hitsAtDistance[dist]++
 			}
-			ft.add(prev, -1)
+			ft.Add(prev, -1)
 		}
-		ft.add(t, 1)
+		ft.Add(t, 1)
 		lastPos[r.Page] = t
 	}
 	var cum int64

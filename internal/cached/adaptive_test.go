@@ -3,6 +3,7 @@ package cached
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -321,5 +322,78 @@ func TestAdaptiveBeatsStaticPartition(t *testing.T) {
 	}
 	if costAdaptive >= costStatic {
 		t.Fatalf("adaptive cost %.0f not below static %.0f", costAdaptive, costStatic)
+	}
+}
+
+// TestMRCLiveAfterRecovery covers the sampler's recovery shape in partition
+// mode: a recovered service starts its MRC samplers empty while its
+// interner already hands out high page ids (the keys of the first run keep
+// theirs, new keys continue above them). Fed the same post-recovery
+// requests, it must serve, verify and conserve like any service, and at
+// rate 1 its live curves must equal, bit for bit, those of a fresh service
+// that saw only those requests: each shard sees the same subsequence under
+// an injective renaming of its pages, which leaves stack distances as they
+// are.
+func TestMRCLiveAfterRecovery(t *testing.T) {
+	const k, shards, tenants, n = 96, 2, 3, 16_000
+	dir := t.TempDir()
+	reqs := genRequests(61, tenants, 400, n)
+	mrc := &mrclive.Config{MaxSize: 128, Rate: 1, WindowEpochs: 2, EpochRequests: n}
+	cfg := Config{K: k, Shards: shards, Tenants: tenants, Quotas: evenSplit(k, tenants),
+		MRC: mrc, WAL: testWAL(dir)}
+	svc, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	applyAll(t, svc, reqs[:n/2], 512)
+	svc.Close()
+
+	rcfg := cfg
+	rcfg.WAL = testWAL(dir)
+	rcfg.WAL.Recover = true
+	rec := newWALService(t, rcfg)
+	for _, sh := range rec.Stats().Shards {
+		if sh.Pages == 0 {
+			t.Fatalf("shard %d recovered no interned pages; the test needs high ids", sh.Shard)
+		}
+	}
+	applyAll(t, rec, reqs[n/2:], 512)
+	requireClean(t, rec)
+	st := rec.Stats()
+	for _, sh := range st.Shards {
+		if sh.Failed || sh.Down {
+			t.Fatalf("shard %d failed after recovery", sh.Shard)
+		}
+	}
+	for tn, ts := range st.PerTenant {
+		if ts.Hits+ts.Misses != ts.Requests {
+			t.Errorf("tenant %d: hits %d + misses %d != requests %d", tn, ts.Hits, ts.Misses, ts.Requests)
+		}
+	}
+
+	fresh := newPartitionService(t, k, shards, tenants, mrc, nil, 0)
+	applyAll(t, fresh, reqs[n/2:], 512)
+	got, err := rec.MRCLive()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := fresh.MRCLive()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Tenants, want.Tenants) {
+		t.Fatalf("recovered curves differ from a fresh service's:\n got %+v\nwant %+v", got.Tenants, want.Tenants)
+	}
+	var total int64
+	for _, c := range got.Tenants {
+		total += c.Requests
+		for q := 1; q < len(c.HitsAt); q++ {
+			if c.HitsAt[q] < c.HitsAt[q-1] || c.HitsAt[q] > float64(c.Requests) {
+				t.Fatalf("tenant %d: HitsAt not monotone within [0, requests] at capacity %d", c.Tenant, q+1)
+			}
+		}
+	}
+	if total != int64(n-n/2) {
+		t.Errorf("window requests %d, want the %d post-recovery requests", total, n-n/2)
 	}
 }

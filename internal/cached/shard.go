@@ -623,7 +623,13 @@ func (sh *shard) apply(r *Request, seq int64) byte {
 	}
 	sh.appendRequest(seq, page, r.Tenant, newKey)
 	if sh.sampler != nil {
-		sh.sampler.Observe(r.Tenant, page)
+		// The sampler indexes its page table by the interner's residue-class
+		// id; a refusal means the ids broke that contract, and the shard
+		// fails as it does on a dense-core refusal.
+		if err := sh.sampler.Observe(r.Tenant, page); err != nil {
+			sh.failed = fmt.Errorf("cached: shard %d: mrc sampler: %w", sh.id, err)
+			return ResultError
+		}
 	}
 	res, _ := sh.stepRequest(page, r.Tenant)
 	return res

@@ -7,14 +7,27 @@
 //     O(1) expected and the stack holds ~rate·WSS entries. The filter is the
 //     exact hash/threshold used by analysis.ApproxMattson, so a live sampler
 //     and an offline pass with the same seed sample the same pages.
-//   - An incremental Mattson stack per tenant: a Fenwick tree over an
+//   - An incremental Mattson stack per tenant: an analysis.Fenwick over an
 //     append-cursor slot array yields the reuse stack distance of every
 //     sampled access in O(log n), the same quantity analysis.Mattson
 //     computes offline.
-//   - Epoch-bucketed decay: hit histograms and page liveness are bucketed
-//     into a ring of WindowEpochs epochs; advancing the ring expires pages
-//     (and their histogram mass) untouched for a full window, so the curve
-//     tracks phase shifts instead of averaging over all history.
+//   - A sliding window: page liveness is bucketed into a ring of
+//     WindowEpochs epochs; advancing the ring expires pages untouched for a
+//     full window and subtracts the hit mass their epoch added to the one
+//     running window histogram, so the curve tracks phase shifts instead of
+//     averaging over all history.
+//
+// Page ids are dense. internal/cached shard s of n interns pages as s, s+n,
+// s+2n, …, and Config.Scale is n, so page/Scale indexes one flat shard-wide
+// table of 16-byte page records: no map on the request path. Observe
+// therefore requires every sampled page of one sampler to share a residue
+// modulo Scale and to belong to one tenant for life, and it refuses any
+// other page with an error. Its memory is bounded by the largest sampled
+// id: 16 B per dense index up to it, so a caller that passes only interned
+// ids (as the shard does: ids below its allocator position) pays 16 B per
+// interned page, plus 8 B per stack slot (at most twice the peak live
+// pages) and per sampled request in the window, plus 8·Tenants·MaxSize
+// bytes for the window histogram.
 //
 // A Sampler is single-owner by design — internal/cached gives one to each
 // shard goroutine, which calls Observe inline with no locks; a collector
@@ -84,37 +97,46 @@ func (c Config) normalize() (Config, error) {
 	if c.Scale <= 0 {
 		c.Scale = 1
 	}
+	if int64(c.Tenants)*int64(c.MaxSize) > math.MaxInt32 {
+		return c, fmt.Errorf("mrclive: %d tenants × max size %d exceeds 2^31-1 histogram buckets", c.Tenants, c.MaxSize)
+	}
 	return c, nil
 }
 
-// pageRef locates a tracked page inside its tenant stack.
+// pageRef is one dense page's sampler record, indexed by page/Scale in the
+// sampler's shard-wide table.
 type pageRef struct {
-	slot  int
+	// slot is the stack slot of the page's last sampled access; -1 while
+	// the page is not on its tenant's stack (expired).
+	slot int32
+	// owner is the page's tenant plus one; 0 marks a never-sampled index.
+	owner int32
+	// epoch is the epoch of the last sampled access.
 	epoch int64
 }
 
 // tenantStack is one tenant's incremental Mattson stack: pages occupy slots
 // in access order behind a write cursor, a Fenwick tree counts live slots,
 // and the reuse distance of an access is the number of live slots after the
-// page's previous position. Compaction (triggered when the cursor reaches
-// the end) rewrites live pages in slot order — deterministic, no map
-// iteration — and doubles capacity while more than half the slots are live.
+// page's previous position. Each slot holds its page's dense index, so
+// compaction and expiry fix the page's record without a lookup. Compaction
+// (triggered when the cursor reaches the end) packs live slots to the front
+// in slot order — deterministic, in place — and doubles capacity while more
+// than half the slots are live.
 type tenantStack struct {
-	fen    *fenwick
-	slots  []trace.PageID
+	fen    analysis.Fenwick
+	slots  []int32 // dense page index per slot, freeSlot when empty
 	cursor int
 	live   int
-	refs   map[trace.PageID]pageRef
 }
 
-const freeSlot = trace.PageID(-1)
+const freeSlot = int32(-1)
 
-func newTenantStack() *tenantStack {
+func newTenantStack() tenantStack {
 	const initialCap = 256
-	st := &tenantStack{
-		fen:   newFenwick(initialCap),
-		slots: make([]trace.PageID, initialCap),
-		refs:  make(map[trace.PageID]pageRef),
+	st := tenantStack{
+		fen:   analysis.NewFenwick(initialCap),
+		slots: make([]int32, initialCap),
 	}
 	for i := range st.slots {
 		st.slots[i] = freeSlot
@@ -122,67 +144,69 @@ func newTenantStack() *tenantStack {
 	return st
 }
 
-// access records one sampled access and returns the reuse stack distance
-// (distinct sampled pages since the previous access), or -1 on first touch.
-func (st *tenantStack) access(p trace.PageID, epoch int64) int64 {
+// access records one sampled access of the page at dense index idx and
+// returns the reuse stack distance (distinct sampled pages since the
+// previous access), or -1 when the page is not on the stack.
+func (st *tenantStack) access(refs []pageRef, idx int32, epoch int64) int64 {
+	ref := &refs[idx]
 	dist := int64(-1)
-	if ref, ok := st.refs[p]; ok {
-		dist = int64(st.fen.prefix(len(st.slots)-1) - st.fen.prefix(ref.slot))
-		st.fen.add(ref.slot, -1)
+	if ref.slot >= 0 {
+		// live counts every live slot, so this is the number after ref.slot.
+		dist = int64(st.live - st.fen.Prefix(int(ref.slot)))
+		st.fen.Add(int(ref.slot), -1)
 		st.slots[ref.slot] = freeSlot
 		st.live--
 	}
 	if st.cursor == len(st.slots) {
-		st.compact()
+		st.compact(refs)
 	}
-	st.fen.add(st.cursor, 1)
-	st.slots[st.cursor] = p
-	st.refs[p] = pageRef{slot: st.cursor, epoch: epoch}
+	st.fen.Add(st.cursor, 1)
+	st.slots[st.cursor] = idx
+	ref.slot = int32(st.cursor)
+	ref.epoch = epoch
 	st.cursor++
 	st.live++
 	return dist
 }
 
-// remove expires a page from the stack.
-func (st *tenantStack) remove(p trace.PageID, ref pageRef) {
-	st.fen.add(ref.slot, -1)
+// remove expires the page ref from the stack.
+func (st *tenantStack) remove(ref *pageRef) {
+	st.fen.Add(int(ref.slot), -1)
 	st.slots[ref.slot] = freeSlot
-	delete(st.refs, p)
+	ref.slot = -1
 	st.live--
 }
 
-// compact rewrites live pages densely at the front, preserving slot (= LRU)
-// order, growing the slot array while it is more than half live.
-func (st *tenantStack) compact() {
-	newCap := len(st.slots)
-	if st.live*2 > newCap {
-		newCap *= 2
-	}
-	pages := make([]trace.PageID, 0, st.live)
-	for _, p := range st.slots {
-		if p != freeSlot {
-			pages = append(pages, p)
+// compact packs live slots densely at the front, preserving slot (= LRU)
+// order, growing the slot array while it is more than half live, and
+// refills the Fenwick tree in O(n).
+func (st *tenantStack) compact(refs []pageRef) {
+	w := 0
+	for _, idx := range st.slots {
+		if idx != freeSlot {
+			st.slots[w] = idx
+			refs[idx].slot = int32(w)
+			w++
 		}
 	}
-	st.slots = make([]trace.PageID, newCap)
-	for i := range st.slots {
+	n := len(st.slots)
+	if st.live*2 > n {
+		n *= 2
+		st.slots = append(st.slots, make([]int32, n-len(st.slots))...)
+	}
+	for i := w; i < n; i++ {
 		st.slots[i] = freeSlot
 	}
-	st.fen = newFenwick(newCap)
-	for i, p := range pages {
-		st.slots[i] = p
-		st.fen.add(i, 1)
-		r := st.refs[p]
-		r.slot = i
-		st.refs[p] = r
-	}
+	st.fen.Refill(n, st.live)
 	st.cursor = st.live
 }
 
-// touchRec marks a sampled page access for lazy window expiry.
+// touchRec marks a sampled access for lazy window expiry: the page's dense
+// index and the window histogram bucket the access incremented (-1 for a
+// first touch or a distance beyond MaxSize).
 type touchRec struct {
-	t trace.Tenant
-	p trace.PageID
+	idx    int32
+	bucket int32
 }
 
 // Sampler is one shard's streaming MRC estimator. It is deliberately NOT
@@ -192,14 +216,23 @@ type touchRec struct {
 type Sampler struct {
 	cfg    Config
 	filter analysis.SampleFilter
-	stacks []*tenantStack
+	stacks []tenantStack
+	// refs is the page table, indexed by page/Scale and grown by doubling.
+	refs []pageRef
+	// residue is page mod Scale shared by every sampled page; -1 until the
+	// first one.
+	residue int64
 
-	// Ring of WindowEpochs epochs; slot e%W holds epoch e's buckets.
-	hist     [][]int64 // [W][Tenants*MaxSize] sampled hits by scaled distance
+	// window[t*MaxSize+d] counts tenant t's sampled reuses at scaled
+	// distance d over the whole window: advance subtracts what the expiring
+	// epoch added, so it always equals the sum of per-epoch histograms.
+	window []int64
+	// Ring of WindowEpochs epochs; slot e%W holds epoch e's entries.
 	observed [][]int64 // [W][Tenants] all observed requests (exact)
 	sampled  [][]int64 // [W][Tenants] sampled requests
 	touched  [][]touchRec
 
+	cur        int // ring slot of the current epoch, absEpoch % WindowEpochs
 	absEpoch   int64
 	reqInEpoch int
 }
@@ -217,8 +250,9 @@ func NewSampler(cfg Config) (*Sampler, error) {
 	s := &Sampler{
 		cfg:      cfg,
 		filter:   filter,
-		stacks:   make([]*tenantStack, cfg.Tenants),
-		hist:     make([][]int64, cfg.WindowEpochs),
+		stacks:   make([]tenantStack, cfg.Tenants),
+		residue:  -1,
+		window:   make([]int64, cfg.Tenants*cfg.MaxSize),
 		observed: make([][]int64, cfg.WindowEpochs),
 		sampled:  make([][]int64, cfg.WindowEpochs),
 		touched:  make([][]touchRec, cfg.WindowEpochs),
@@ -227,7 +261,6 @@ func NewSampler(cfg Config) (*Sampler, error) {
 		s.stacks[t] = newTenantStack()
 	}
 	for e := 0; e < cfg.WindowEpochs; e++ {
-		s.hist[e] = make([]int64, cfg.Tenants*cfg.MaxSize)
 		s.observed[e] = make([]int64, cfg.Tenants)
 		s.sampled[e] = make([]int64, cfg.Tenants)
 	}
@@ -237,57 +270,116 @@ func NewSampler(cfg Config) (*Sampler, error) {
 // Config returns the normalized configuration.
 func (s *Sampler) Config() Config { return s.cfg }
 
-// Observe records one request. Called inline on the owner's request path;
-// page ids must be non-negative (internal/cached and internal/trace both
-// guarantee this).
-func (s *Sampler) Observe(t trace.Tenant, p trace.PageID) {
+// Observe records one request. Called inline on the owner's request path.
+// The page must be non-negative; a sampled page must lie in the residue
+// class modulo Scale of the sampler's first sampled page, have a dense
+// index page/Scale below 2^31, and keep the tenant it was first sampled
+// under. internal/cached guarantees all of it: a shard interns each
+// (tenant, key) to a fresh id of its own class. Anything else is refused
+// with an error before any state changes — two pages sharing a dense index
+// would silently merge their stacks. The page table grows to the largest
+// sampled dense index, 16 B per index, so the sampler's memory is bounded
+// by the caller's id allocator, not by the request count.
+func (s *Sampler) Observe(t trace.Tenant, p trace.PageID) error {
 	if t < 0 || int(t) >= s.cfg.Tenants || p < 0 {
-		return
+		return fmt.Errorf("mrclive: request (tenant %d, page %d) outside tenants [0, %d) or negative", t, p, s.cfg.Tenants)
 	}
-	cur := int(s.absEpoch % int64(s.cfg.WindowEpochs))
+	keep := s.filter.Keep(p)
+	var idx int32
+	if keep {
+		var err error
+		if idx, err = s.index(t, p); err != nil {
+			return err
+		}
+	}
+	cur := s.cur
 	s.observed[cur][t]++
 	s.reqInEpoch++
-	if s.filter.Keep(p) {
+	if keep {
 		s.sampled[cur][t]++
-		if dist := s.stacks[t].access(p, s.absEpoch); dist >= 0 {
+		bucket := int32(-1)
+		if dist := s.stacks[t].access(s.refs, idx, s.absEpoch); dist >= 0 {
 			// Each sampled resident page stands for Scale/Rate true pages:
 			// 1/Rate from hash sampling, Scale from the shard partition.
 			scaled := int(float64(dist) * float64(s.cfg.Scale) / s.cfg.Rate)
 			if scaled < s.cfg.MaxSize {
-				s.hist[cur][int(t)*s.cfg.MaxSize+scaled]++
+				bucket = int32(int(t)*s.cfg.MaxSize + scaled)
+				s.window[bucket]++
 			}
 		}
-		s.touched[cur] = append(s.touched[cur], touchRec{t: t, p: p})
+		s.touched[cur] = append(s.touched[cur], touchRec{idx: idx, bucket: bucket})
 	}
 	if s.reqInEpoch >= s.cfg.EpochRequests {
 		s.advance()
 	}
+	return nil
+}
+
+// index checks a sampled page against the id contract, claims its record
+// for tenant t on first sight (growing the table when needed) and returns
+// its dense index.
+func (s *Sampler) index(t trace.Tenant, p trace.PageID) (int32, error) {
+	scale := int64(s.cfg.Scale)
+	q := int64(p) / scale
+	if q > math.MaxInt32 {
+		return 0, fmt.Errorf("mrclive: page %d: dense index %d exceeds 2^31-1", p, q)
+	}
+	if r := int64(p) - q*scale; r != s.residue {
+		if s.residue >= 0 {
+			return 0, fmt.Errorf("mrclive: page %d is %d mod %d, not in the sampler's residue class %d", p, r, scale, s.residue)
+		}
+		s.residue = r
+	}
+	if int(q) >= len(s.refs) {
+		s.grow(int(q))
+	}
+	ref := &s.refs[q]
+	switch ref.owner {
+	case int32(t) + 1:
+	case 0:
+		ref.owner = int32(t) + 1
+		ref.slot = -1
+	default:
+		return 0, fmt.Errorf("mrclive: page %d sampled under tenant %d but owned by tenant %d", p, t, ref.owner-1)
+	}
+	return int32(q), nil
+}
+
+// grow extends the page table to cover dense index idx, at least doubling
+// it. Indices need not arrive in first-appearance order (a sampler built
+// after WAL recovery first sees whatever ids the traffic brings), so the
+// target is the index itself, not the next one.
+func (s *Sampler) grow(idx int) {
+	n := max(2*len(s.refs), idx+1, 1024)
+	s.refs = append(s.refs, make([]pageRef, n-len(s.refs))...)
 }
 
 // advance rotates the epoch ring: the slot about to be reused holds the
-// epoch that just fell out of the window, so its histogram mass is zeroed
-// and every page whose last touch was in that epoch is expired from its
-// stack (pages touched again since have a newer ref.epoch and survive).
+// epoch that just fell out of the window, so its reuses are subtracted from
+// the window histogram and every page whose last touch was in that epoch is
+// expired from its stack (pages touched again since have a newer epoch and
+// survive).
 func (s *Sampler) advance() {
 	s.absEpoch++
 	s.reqInEpoch = 0
-	W := int64(s.cfg.WindowEpochs)
-	slot := int(s.absEpoch % W)
-	expired := s.absEpoch - W
-	for _, tr := range s.touched[slot] {
-		st := s.stacks[tr.t]
-		if ref, ok := st.refs[tr.p]; ok && ref.epoch <= expired {
-			st.remove(tr.p, ref)
+	s.cur++
+	if s.cur == s.cfg.WindowEpochs {
+		s.cur = 0
+	}
+	expired := s.absEpoch - int64(s.cfg.WindowEpochs)
+	for _, tr := range s.touched[s.cur] {
+		if tr.bucket >= 0 {
+			s.window[tr.bucket]--
+		}
+		ref := &s.refs[tr.idx]
+		if ref.slot >= 0 && ref.epoch <= expired {
+			s.stacks[ref.owner-1].remove(ref)
 		}
 	}
-	s.touched[slot] = s.touched[slot][:0]
-	h := s.hist[slot]
-	for i := range h {
-		h[i] = 0
-	}
+	s.touched[s.cur] = s.touched[s.cur][:0]
 	for t := 0; t < s.cfg.Tenants; t++ {
-		s.observed[slot][t] = 0
-		s.sampled[slot][t] = 0
+		s.observed[s.cur][t] = 0
+		s.sampled[s.cur][t] = 0
 	}
 }
 
@@ -302,24 +394,18 @@ type TenantWindow struct {
 	Hist []int64
 }
 
-// Snapshot sums the epoch ring into per-tenant window accounting. Call from
-// the goroutine that owns the sampler (internal/cached does so via a shard
+// Snapshot copies the window into per-tenant accounting. Call from the
+// goroutine that owns the sampler (internal/cached does so via a shard
 // mailbox message, putting the snapshot on a batch boundary).
 func (s *Sampler) Snapshot() []TenantWindow {
+	M := s.cfg.MaxSize
+	hist := append([]int64(nil), s.window...)
 	out := make([]TenantWindow, s.cfg.Tenants)
 	for t := range out {
-		out[t].Hist = make([]int64, s.cfg.MaxSize)
-	}
-	for e := 0; e < s.cfg.WindowEpochs; e++ {
-		for t := 0; t < s.cfg.Tenants; t++ {
+		out[t].Hist = hist[t*M : (t+1)*M : (t+1)*M]
+		for e := 0; e < s.cfg.WindowEpochs; e++ {
 			out[t].Observed += s.observed[e][t]
 			out[t].Sampled += s.sampled[e][t]
-			h := s.hist[e][t*s.cfg.MaxSize : (t+1)*s.cfg.MaxSize]
-			for d, v := range h {
-				if v != 0 {
-					out[t].Hist[d] += v
-				}
-			}
 		}
 	}
 	return out
@@ -435,26 +521,4 @@ func Merge(snaps [][]TenantWindow, tenants, maxSize int, rate float64, scale int
 		}
 	}
 	return out
-}
-
-// fenwick is a binary indexed tree over slot occupancy.
-type fenwick struct {
-	tree []int
-}
-
-func newFenwick(n int) *fenwick { return &fenwick{tree: make([]int, n+1)} }
-
-func (f *fenwick) add(i, delta int) {
-	for i++; i < len(f.tree); i += i & (-i) {
-		f.tree[i] += delta
-	}
-}
-
-// prefix sums occupancy over slots [0, i].
-func (f *fenwick) prefix(i int) int {
-	s := 0
-	for i++; i > 0; i -= i & (-i) {
-		s += f.tree[i]
-	}
-	return s
 }

@@ -23,10 +23,61 @@ func randomTrace(t *testing.T, seed int64, tenants, pagesPer, length int) *trace
 	return b.MustBuild()
 }
 
-// feed drives a whole trace through one sampler.
-func feed(s *Sampler, tr *trace.Trace) {
+// denseFeed renames pages the way internal/cached shards intern them:
+// page p belongs to shard p mod n, and shard s hands its j-th distinct page
+// the id s + j·n. Stack distances are invariant under an injective renaming
+// within each shard (the check.DiffMRC argument), so the curves are those of
+// the original stream, while the sampler's dense page table spans the
+// working set instead of workload.PageOf's 2^32 tenant offsets.
+type denseFeed struct {
+	samplers []*Sampler
+	ids      []map[trace.PageID]trace.PageID
+}
+
+func newDenseFeed(samplers ...*Sampler) *denseFeed {
+	d := &denseFeed{samplers: samplers, ids: make([]map[trace.PageID]trace.PageID, len(samplers))}
+	for s := range d.ids {
+		d.ids[s] = make(map[trace.PageID]trace.PageID)
+	}
+	return d
+}
+
+func (d *denseFeed) observe(t *testing.T, tn trace.Tenant, p trace.PageID) {
+	t.Helper()
+	n := len(d.samplers)
+	s := int(uint64(p) % uint64(n))
+	id, ok := d.ids[s][p]
+	if !ok {
+		id = trace.PageID(s + len(d.ids[s])*n)
+		d.ids[s][p] = id
+	}
+	if err := d.samplers[s].Observe(tn, id); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// feed drives a whole trace through the samplers (one per shard).
+func (d *denseFeed) feed(t *testing.T, tr *trace.Trace) {
+	t.Helper()
 	for _, r := range tr.Requests() {
-		s.Observe(r.Tenant, r.Page)
+		d.observe(t, r.Tenant, r.Page)
+	}
+}
+
+// snapshots collects every sampler's Snapshot.
+func (d *denseFeed) snapshots() [][]TenantWindow {
+	snaps := make([][]TenantWindow, len(d.samplers))
+	for i, s := range d.samplers {
+		snaps[i] = s.Snapshot()
+	}
+	return snaps
+}
+
+// observe feeds one request and fails the test on a refusal.
+func observe(t *testing.T, s *Sampler, tn trace.Tenant, p trace.PageID) {
+	t.Helper()
+	if err := s.Observe(tn, p); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -44,7 +95,7 @@ func TestSamplerExactAtFullRate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	feed(s, tr)
+	newDenseFeed(s).feed(t, tr)
 	curves := Merge([][]TenantWindow{s.Snapshot()}, 3, maxSize, 1, 1)
 	offline, err := analysis.PerTenant(tr, maxSize)
 	if err != nil {
@@ -94,14 +145,9 @@ func TestSamplerShardPartitionTolerance(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		for _, r := range tr.Requests() {
-			samplers[int(uint64(r.Page)%uint64(n))].Observe(r.Tenant, r.Page)
-		}
-		snaps := make([][]TenantWindow, n)
-		for i, s := range samplers {
-			snaps[i] = s.Snapshot()
-		}
-		curves := Merge(snaps, 1, maxSize, 1, n)
+		feed := newDenseFeed(samplers...)
+		feed.feed(t, tr)
+		curves := Merge(feed.snapshots(), 1, maxSize, 1, n)
 		if curves[0].Requests != int64(tr.Len()) {
 			t.Fatalf("n=%d: merged requests %d != trace length %d", n, curves[0].Requests, tr.Len())
 		}
@@ -128,7 +174,7 @@ func TestSamplerWindowExpiry(t *testing.T) {
 	}
 	// Phase A: tight loop over 8 pages — almost all window hits.
 	for i := 0; i < 2*epoch; i++ {
-		s.Observe(0, trace.PageID(i%8))
+		observe(t, s, 0, trace.PageID(i%8))
 	}
 	hot := Merge([][]TenantWindow{s.Snapshot()}, 1, 64, 1, 1)[0]
 	if hot.MissRatioAt(16) > 0.05 {
@@ -137,7 +183,7 @@ func TestSamplerWindowExpiry(t *testing.T) {
 	// Phase B: cold scan of fresh pages, long enough to rotate phase A out
 	// of the 2-epoch ring entirely.
 	for i := 0; i < 3*epoch; i++ {
-		s.Observe(0, trace.PageID(1000+i))
+		observe(t, s, 0, trace.PageID(1000+i))
 	}
 	cold := Merge([][]TenantWindow{s.Snapshot()}, 1, 64, 1, 1)[0]
 	if cold.Requests > 2*epoch {
@@ -149,7 +195,7 @@ func TestSamplerWindowExpiry(t *testing.T) {
 	// Expired pages must be gone from the stack: re-touching a phase-A page
 	// now is a cold reference, not a huge-distance reuse.
 	before := s.Snapshot()[0]
-	s.Observe(0, trace.PageID(3))
+	observe(t, s, 0, trace.PageID(3))
 	after := s.Snapshot()[0]
 	for d := range after.Hist {
 		if after.Hist[d] != before.Hist[d] {
@@ -175,14 +221,9 @@ func TestSamplerDeterministic(t *testing.T) {
 				}
 				samplers[i] = s
 			}
-			for _, r := range tr.Requests() {
-				samplers[int(uint64(r.Page)%uint64(n))].Observe(r.Tenant, r.Page)
-			}
-			snaps := make([][]TenantWindow, n)
-			for i, s := range samplers {
-				snaps[i] = s.Snapshot()
-			}
-			return Merge(snaps, 2, 128, 0.5, n)
+			feed := newDenseFeed(samplers...)
+			feed.feed(t, tr)
+			return Merge(feed.snapshots(), 2, 128, 0.5, n)
 		}
 		a, b := run(), run()
 		for tn := range a {
@@ -210,7 +251,7 @@ func TestSamplerCompaction(t *testing.T) {
 	// Alternate two pages 10k times: after the first pair every access is a
 	// reuse at distance 1, across ~40 compactions of the 256-slot array.
 	for i := 0; i < 20000; i++ {
-		s.Observe(0, trace.PageID(i%2))
+		observe(t, s, 0, trace.PageID(i%2))
 	}
 	w := s.Snapshot()[0]
 	if w.Hist[1] != 20000-2 {

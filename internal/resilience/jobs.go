@@ -411,6 +411,9 @@ func (js *Jobs) run(j *job) {
 }
 
 func (js *Jobs) finish(j *job, state string, res *sim.Result, err error) {
+	// Count first: a caller that sees the terminal state through Status must
+	// also see it counted.
+	js.count(fmt.Sprintf("resilience_jobs_finished_total{state=%q}", state))
 	j.mu.Lock()
 	j.state = state
 	j.result = res
@@ -421,7 +424,6 @@ func (js *Jobs) finish(j *job, state string, res *sim.Result, err error) {
 		j.step = res.Steps
 	}
 	j.mu.Unlock()
-	js.count(fmt.Sprintf("resilience_jobs_finished_total{state=%q}", state))
 }
 
 func (js *Jobs) count(name string) {

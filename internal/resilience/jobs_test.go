@@ -167,6 +167,44 @@ func TestJobsLifecycle(t *testing.T) {
 	}
 }
 
+// TestJobsFinishedCounterBeforeDone pins the publication order of finish:
+// by the time Status reports a job done, the finished counter must already
+// count it. The test polls Status without sleeping and reads the counter in
+// the same iteration that first sees the job done, over many tiny jobs, so
+// a counter bumped after the state flips shows up as a lag.
+func TestJobsFinishedCounterBeforeDone(t *testing.T) {
+	reg := obs.NewRegistry()
+	js := resilience.NewJobs(resilience.JobsConfig{Workers: 1, MaxJobs: 8}, reg)
+	defer js.Close()
+	tr := testTrace(t, 64)
+	finished := reg.Counter(`resilience_jobs_finished_total{state="done"}`)
+	for i := int64(1); i <= 200; i++ {
+		st, err := js.Submit(resilience.JobSpec{
+			Label: "alg", Trace: tr, K: 8,
+			NewFast: func() *core.Fast { return core.NewFast(testOptions()) },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			s, err := js.Status(st.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s.State == resilience.JobDone {
+				if got := finished.Value(); got != i {
+					t.Fatalf("job %d seen done with the finished counter at %d", i, got)
+				}
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("job %d never finished", i)
+			}
+		}
+	}
+}
+
 // gatedPolicy blocks its first insert until the gate closes, so tests can
 // hold a worker busy deterministically.
 type gatedPolicy struct {
